@@ -28,10 +28,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, cholesky_banded
+from scipy.linalg import cho_factor, cho_solve
 
 from .engine import ProblemSpec, TerminationRule, solve
-from .prox import _GammaCache, _soft_threshold, catalog_prox
+from .prox import _shifted_solver, _soft_threshold, catalog_prox
 from . import tuner
 
 __all__ = [
@@ -155,10 +155,10 @@ def _build_qp(rng, dims, params):
     b2 = rng.standard_normal(n)
     lower = np.minimum(b1, b2)
     upper = np.maximum(b1, b2)
-    cache = _GammaCache(lambda g: cho_factor(P + g * np.eye(n)))
+    x_solve = _shifted_solver(P)
 
     def prox_f(w, g):
-        return cho_solve(cache.get(g), g * w - q)
+        return x_solve(g, 1.0, g * w - q)
 
     def prox_g(w, g):
         return np.clip(-w, lower, upper)
@@ -262,19 +262,17 @@ def _build_lasso(rng, dims, params):
     alpha = 0.1 * float(np.abs(A.T @ b).max()) if alpha is None else float(alpha)
     atb = A.T @ b
     if m >= n:
-        gram = A.T @ A
-        cache = _GammaCache(lambda g: cho_factor(gram + g * np.eye(n)))
+        x_solve = _shifted_solver(A.T @ A)
 
         def prox_f(w, g):
-            return cho_solve(cache.get(g), atb + g * w)
+            return x_solve(g, 1.0, atb + g * w)
 
     else:
-        gram = A @ A.T
-        cache = _GammaCache(lambda g: cho_factor(gram + g * np.eye(m)))
+        x_solve = _shifted_solver(A @ A.T)
 
         def prox_f(w, g):
             u = atb + g * w
-            return (u - A.T @ cho_solve(cache.get(g), A @ u)) / g
+            return (u - A.T @ x_solve(g, 1.0, A @ u)) / g
 
     def prox_g(w, g):
         return _soft_threshold(-w, alpha / g)
@@ -305,16 +303,14 @@ def _build_tv(rng, dims, params):
     b = x_true + rng.standard_normal(n)
     alpha = float(params["alpha"])
     F = _difference_matrix(n)
-
-    banded = _GammaCache(
-        lambda g: cholesky_banded(_tv_banded(n, g))
-    )
+    # a dense n x n eigenbasis of F^T F costs memory of the same order as F
+    x_solve = _shifted_solver(F.T @ F)
 
     def prox_f(w, g):
         rhs = b.copy()
         rhs[:-1] -= g * w
         rhs[1:] += g * w
-        return cho_solve_banded((banded.get(g), False), rhs)
+        return x_solve(1.0, g, rhs)
 
     def prox_g(w, g):
         return _soft_threshold(-w, alpha / g)
@@ -327,15 +323,6 @@ def _build_tv(rng, dims, params):
     # data fit keeps the x step single-valued regardless
     spec = ProblemSpec(prox_f, prox_g, objective, A=F, c=np.zeros(n - 1), rank_check=False)
     return spec, {"b": b, "x_true": x_true}, dict(params)
-
-
-def _tv_banded(n, gamma):
-    ab = np.zeros((2, n))
-    ab[1, :] = 1.0 + 2.0 * gamma
-    ab[1, 0] = 1.0 + gamma
-    ab[1, -1] = 1.0 + gamma
-    ab[0, 1:] = -gamma
-    return ab
 
 
 def _build_sics(rng, dims, params):

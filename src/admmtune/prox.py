@@ -16,26 +16,19 @@ identity ``prox_f(v, rho) + prox_fstar(v, 1/rho) = v``, which is how
 conjugate function itself.
 
 ``catalog_prox`` builds classical handles for a collection of standard
-functions.  Handles that rely on matrix factorizations cache one factorization
-per distinct penalty value (keyed by exact float equality) and are safe to
-call concurrently.
+functions.  The quadratic entries eigendecompose their matrix once, when the
+handle is built, and then solve at any penalty with two matrix-vector
+products; handles hold only read-only arrays and are safe to share across
+threads.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import (
-    cho_factor,
-    cho_solve,
-    cho_solve_banded,
-    cholesky_banded,
-    lu_factor,
-    lu_solve,
-    svdvals,
-)
+from numpy.linalg import eigh
+from scipy.linalg import cho_factor, cho_solve, solveh_banded, svd, svdvals
 
 __all__ = [
     "CLASSICAL",
@@ -166,21 +159,25 @@ def moreau_complement(handle: ProxHandle) -> ProxHandle:
     return ProxHandle(evaluate=evaluate, convention=NEW, dim=handle.dim)
 
 
-class _GammaCache:
-    """One factorization per distinct penalty value, computed under a lock."""
+def _shifted_solver(G):
+    """Return ``solve(a, b, r) = (a*I + b*G)^-1 r`` for a symmetric ``G``.
 
-    def __init__(self, build):
-        self._build = build
-        self._lock = threading.Lock()
-        self._store = {}
+    ``G`` is eigendecomposed once, ``G = U diag(s) U^T``, so a solve at any
+    ``(a, b)`` costs two matrix-vector products and builds no factorization.
+    The eigenpairs are read-only, so ``solve`` may be shared across threads.
+    ``solve`` raises ValueError when ``a*I + b*G`` is not positive definite.
+    """
+    s, U = eigh(G)
+    s.setflags(write=False)
+    U.setflags(write=False)
 
-    def get(self, gamma):
-        with self._lock:
-            fact = self._store.get(gamma)
-            if fact is None:
-                fact = self._build(gamma)
-                self._store[gamma] = fact
-            return fact
+    def solve(a, b, r):
+        d = a + b * s
+        if not np.all(d > 0.0):
+            raise ValueError(f"a*I + b*G is not positive definite at a={a}, b={b}")
+        return U @ ((U.T @ r) / d)
+
+    return solve
 
 
 def _require_positive(gamma):
@@ -188,8 +185,8 @@ def _require_positive(gamma):
         raise ValueError(f"penalty gamma must be positive, got {gamma}")
 
 
-def _check_full_row_rank(A, what):
-    s = svdvals(A)
+def _check_full_row_rank(s, what):
+    """Reject a matrix whose singular values ``s`` show a deficient row rank."""
     if s.size == 0 or s[-1] < _RANK_TOL * s[0] or s[0] == 0.0:
         raise ValueError(f"{what} is rank deficient (min/max singular value ratio below {_RANK_TOL})")
 
@@ -237,7 +234,7 @@ def _make_affine_set(A, b):
     b = np.asarray(b, dtype=float).ravel()
     if A.ndim != 2 or A.shape[0] != b.size:
         raise ValueError(f"need A (p, n) and b (p,), got {A.shape} and {b.shape}")
-    _check_full_row_rank(A, "affine-set matrix A")
+    _check_full_row_rank(svdvals(A), "affine-set matrix A")
     gram = cho_factor(A @ A.T)
 
     def evaluate(v, gamma):
@@ -261,18 +258,11 @@ def _make_quad_affine(P, q=None, A=None, b=None):
     if A is None:
         if b is not None:
             raise ValueError("b given without A")
-
-        def build(gamma):
-            try:
-                return cho_factor(np.eye(n) + gamma * P)
-            except np.linalg.LinAlgError as err:
-                raise ValueError(f"I + gamma*P not positive definite at gamma={gamma}") from err
-
-        cache = _GammaCache(build)
+        solve = _shifted_solver(P)
 
         def evaluate(v, gamma):
             _require_positive(gamma)
-            return cho_solve(cache.get(gamma), v - gamma * q)
+            return solve(1.0, gamma, v - gamma * q)
 
         return evaluate, n
 
@@ -280,26 +270,19 @@ def _make_quad_affine(P, q=None, A=None, b=None):
     b = np.asarray(b, dtype=float).ravel()
     if A.ndim != 2 or A.shape[1] != n or A.shape[0] != b.size:
         raise ValueError(f"need A (p, {n}) and b (p,), got {A.shape} and {b.shape}")
-    _check_full_row_rank(A, "constraint matrix A")
+    U_a, sv, Vt = svd(A)
+    _check_full_row_rank(sv, "constraint matrix A")
     p = A.shape[0]
-
-    def build(gamma):
-        kkt = np.zeros((n + p, n + p))
-        kkt[:n, :n] = np.eye(n) + gamma * P
-        kkt[:n, n:] = A.T
-        kkt[n:, :n] = A
-        lu = lu_factor(kkt)
-        diag = np.abs(np.diag(lu[0]))
-        if diag.min() <= 1e-12 * max(diag.max(), 1.0):
-            raise ValueError(f"singular KKT system at gamma={gamma}")
-        return lu
-
-    cache = _GammaCache(build)
+    # x = x0 + N y with x0 = pinv(A) b and N an orthonormal basis of null(A);
+    # since N^T x0 = 0, the prox reduces to (I + gamma N^T P N) y = N^T (v - gamma (q + P x0))
+    x0 = Vt[:p].T @ ((U_a.T @ b) / sv)
+    N = Vt[p:].T
+    c = q + P @ x0
+    solve = _shifted_solver(N.T @ P @ N)
 
     def evaluate(v, gamma):
         _require_positive(gamma)
-        rhs = np.concatenate([v - gamma * q, b])
-        return lu_solve(cache.get(gamma), rhs)[:n]
+        return x0 + N @ solve(1.0, gamma, N.T @ (v - gamma * c))
 
     return evaluate, n
 
@@ -312,30 +295,20 @@ def _make_lstsq(A, b):
     m, n = A.shape
     atb = A.T @ b
     if m >= n:
-        gram = A.T @ A
-
-        def build(gamma):
-            return cho_factor(np.eye(n) + gamma * gram)
-
-        cache = _GammaCache(build)
+        solve = _shifted_solver(A.T @ A)
 
         def evaluate(v, gamma):
             _require_positive(gamma)
-            return cho_solve(cache.get(gamma), v + gamma * atb)
+            return solve(1.0, gamma, v + gamma * atb)
 
     else:
         # Woodbury: (I + g A^T A)^-1 u = u - g A^T (I + g A A^T)^-1 A u
-        gram = A @ A.T
-
-        def build(gamma):
-            return cho_factor(np.eye(m) + gamma * gram)
-
-        cache = _GammaCache(build)
+        solve = _shifted_solver(A @ A.T)
 
         def evaluate(v, gamma):
             _require_positive(gamma)
             u = v + gamma * atb
-            return u - gamma * (A.T @ cho_solve(cache.get(gamma), A @ u))
+            return u - gamma * (A.T @ solve(1.0, gamma, A @ u))
 
     return evaluate, n
 
@@ -387,12 +360,13 @@ def _make_tv_quad(n, target=None):
     if u.size != n - 1:
         raise ValueError(f"target must have length {n - 1}, got {u.size}")
 
-    cache = _GammaCache(lambda gamma: cholesky_banded(_tridiag_banded(n, gamma)))
+    # O(n) per call with no factorization kept, so nothing grows with the
+    # number of distinct penalties
+    shift = _difference_apply_t(u, n)
 
     def evaluate(v, gamma):
         _require_positive(gamma)
-        rhs = v + gamma * _difference_apply_t(u, n)
-        return cho_solve_banded((cache.get(gamma), False), rhs)
+        return solveh_banded(_tridiag_banded(n, gamma), v + gamma * shift)
 
     return evaluate
 
@@ -451,9 +425,11 @@ def catalog_prox(kind: str, **params) -> ProxHandle:
     Returns
     -------
     ProxHandle
-        Classical convention.  Handles backed by factorizations cache one
-        factorization per distinct penalty value and may be shared across
-        threads; the cache is never evicted.
+        Classical convention.  The quadratic entries (``quad_affine``,
+        ``lstsq``) eigendecompose their matrix once, here, and serve every
+        penalty value from it; ``tv_quad`` solves its tridiagonal system per
+        call.  No handle writes to the data it holds, so every handle may
+        be shared across threads.
     """
     try:
         builder = _CATALOG[kind]

@@ -121,6 +121,34 @@ def test_every_desk_instance_solves_to_high_accuracy(desk):
         assert np.linalg.norm(gap) <= 1e-5, kind
 
 
+def _x_step_system(inst, w, gamma):
+    """Dense matrix and right-hand side of the x-step that each builder solves."""
+    data = inst.data
+    if inst.kind == "lasso":
+        A = data["A"]
+        return A.T @ A + gamma * np.eye(A.shape[1]), A.T @ data["b"] + gamma * w
+    if inst.kind == "qp":
+        return data["P"] + gamma * np.eye(w.size), gamma * w - data["q"]
+    F = inst.spec.A
+    return np.eye(F.shape[1]) + gamma * F.T @ F, data["b"] + gamma * F.T @ w
+
+
+@pytest.mark.parametrize("kind, dims", [
+    ("lasso", None),
+    ("lasso", {"m": 60, "n": 40}),
+    ("qp", None),
+    ("tv", None),
+])
+def test_quadratic_x_step_matches_dense_solve(desk, kind, dims):
+    inst = desk(kind) if dims is None else generate(kind, dims=dims, seed=1)
+    rng = np.random.default_rng(13)
+    for gamma in np.geomspace(1e-3, 1e3, 13):
+        w = rng.normal(size=inst.spec.p)
+        want = np.linalg.solve(*_x_step_system(inst, w, gamma))
+        got = inst.spec.prox_f(w, gamma)
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want), gamma
+
+
 def test_objective_is_finite_at_oracle(desk, oracle):
     for kind in KINDS:
         inst, o = desk(kind), oracle(kind)

@@ -3,6 +3,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import admmtune.prox as prox_mod
 from admmtune import (
@@ -43,6 +46,8 @@ def build_catalog_handles(seed=0):
 
 
 HANDLES, EXTRAS = build_catalog_handles()
+
+GAMMAS = np.geomspace(1e-3, 1e3, 13)
 
 
 def test_catalog_names_match_registry():
@@ -191,10 +196,55 @@ def test_lstsq_matches_dense_solve_both_shapes():
         m, n = A.shape
         b = rng.normal(size=m)
         h = catalog_prox("lstsq", A=A, b=b)
-        for gamma in (0.2, 1.0, 30.0):
+        for gamma in GAMMAS:
             v = rng.normal(size=n)
             want = np.linalg.solve(np.eye(n) + gamma * A.T @ A, v + gamma * A.T @ b)
             assert np.allclose(h(v, gamma), want, atol=1e-9)
+
+
+def test_quadratic_entries_match_dense_solve():
+    rng = np.random.default_rng(12)
+    P = EXTRAS["P"]
+    n = P.shape[0]
+    q = rng.normal(size=n)
+    A_eq = rng.normal(size=(2, n))
+    b_eq = rng.normal(size=2)
+    free = catalog_prox("quad_affine", P=P, q=q)
+    pinned = catalog_prox("quad_affine", P=P, q=q, A=A_eq, b=b_eq)
+    m = 12
+    target = rng.normal(size=m - 1)
+    D = np.diff(np.eye(m), axis=0)
+    tv = catalog_prox("tv_quad", n=m, target=target)
+    for gamma in GAMMAS:
+        v = rng.normal(size=n)
+        want = np.linalg.solve(np.eye(n) + gamma * P, v - gamma * q)
+        assert np.allclose(free(v, gamma), want, atol=1e-9)
+        kkt = np.block([[np.eye(n) + gamma * P, A_eq.T], [A_eq, np.zeros((2, 2))]])
+        want = np.linalg.solve(kkt, np.concatenate([v - gamma * q, b_eq]))[:n]
+        assert np.allclose(pinned(v, gamma), want, atol=1e-9)
+        v = rng.normal(size=m)
+        want = np.linalg.solve(np.eye(m) + gamma * D.T @ D, v + gamma * D.T @ target)
+        assert np.allclose(tv(v, gamma), want, atol=1e-9)
+
+
+@st.composite
+def _shifted_systems(draw):
+    n = draw(st.integers(1, 8))
+    M = draw(arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0)))
+    G = M @ M.T + draw(st.floats(1e-2, 1.0)) * np.eye(n)
+    a = draw(st.floats(1e-3, 1e3))
+    b = draw(st.floats(1e-3, 1e3))
+    r = draw(arrays(np.float64, n, elements=st.floats(-1e3, 1e3)))
+    return G, a, b, r
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shifted_systems())
+def test_shifted_solver_residual(system):
+    G, a, b, r = system
+    x = prox_mod._shifted_solver(G)(a, b, r)
+    resid = (a * np.eye(G.shape[0]) + b * G) @ x - r
+    assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(r)
 
 
 def test_huber_piecewise_form():
@@ -288,27 +338,28 @@ def test_shrinkage_optimality_certificate_exact():
     assert np.all(np.abs(v[~on]) <= gamma * 1.3 + 1e-12)
 
 
-def test_factorization_cache_computes_once_per_penalty(monkeypatch):
+def test_lstsq_decomposes_once_for_every_penalty(monkeypatch):
     calls = []
-    real = prox_mod.cho_factor
+    real = prox_mod.eigh
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
+    monkeypatch.setattr(prox_mod, "eigh", counting)
     rng = np.random.default_rng(11)
     A = rng.normal(size=(6, 4))
     h = catalog_prox("lstsq", A=A, b=rng.normal(size=6))
-    monkeypatch.setattr(prox_mod, "cho_factor", counting)
-    v = rng.normal(size=4)
-    for _ in range(5):
-        h(v, 1.0)
     assert len(calls) == 1
-    h(v, 2.0)
-    assert len(calls) == 2
+    v = rng.normal(size=4)
+    for gamma in (0.1, 0.5, 1.0, 2.0, 3.0):
+        h(v, gamma)
+    gammas = 0.25 * np.arange(1, 41)
     with ThreadPoolExecutor(max_workers=8) as pool:
-        list(pool.map(lambda _: h(v, 3.0), range(40)))
-    assert len(calls) == 3
+        shared = list(pool.map(lambda gamma: h(v, gamma), gammas))
+    assert len(calls) == 1
+    for gamma, out in zip(gammas, shared):
+        assert np.array_equal(out, h(v, gamma))
 
 
 def test_handle_validates_inputs():
