@@ -241,6 +241,11 @@ def admm_step(state: SolverState, spec: ProblemSpec) -> SolverState:
     return state
 
 
+def _require_finite(name, v):
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite")
+
+
 def _drs_sweep(sigma, spec, gamma, theta):
     """One averaged fixed-point sweep on the scaled vector sigma."""
     z = spec.prox_g(spec.c - sigma, gamma)
@@ -256,6 +261,7 @@ def drs_step(zeta, spec: ProblemSpec, gamma: float, theta: float = 0.5):
 
     At ``theta = 0.5`` this is exactly the map whose iterates the alternating
     scheme of ``admm_step`` traces through ``zeta^k = A x^{k+1} + lam^k / gamma``.
+    A non-finite ``zeta`` raises ValueError.
     """
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -264,6 +270,7 @@ def drs_step(zeta, spec: ProblemSpec, gamma: float, theta: float = 0.5):
     zeta = np.asarray(zeta, dtype=float).ravel()
     if zeta.size != spec.p:
         raise ValueError(f"zeta must have length {spec.p}, got {zeta.size}")
+    _require_finite("zeta", zeta)
     return _drs_sweep(zeta, spec, gamma, theta)[0]
 
 
@@ -293,7 +300,8 @@ def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
         to start from (an oracle plan with its own ``zeta0`` supplies that
         vector when ``init`` is None).  A triple is mapped into the loop by
         one priming x step so that recorded residues are genuine fixed-point
-        gaps from the first sweep on.
+        gaps from the first sweep on.  A start with a non-finite entry raises
+        ValueError before any sweep.
     rule : TerminationRule
         Defaults to tol 1e-6, max_iter 10000, theta 0.5.  tol = inf returns
         immediately after 0 sweeps with an empty history.
@@ -322,6 +330,7 @@ def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
         for name, v, size in (("x0", x0, spec.n), ("z0", z0, spec.m), ("lam0", lam0, spec.p)):
             if v.size != size:
                 raise ValueError(f"{name} must have length {size}, got {v.size}")
+            _require_finite(name, v)
         x_cur = spec.prox_f(spec.c - spec.apply_B(z0) - lam0 / gamma, gamma)
         z_cur = z0
         lam_last = lam0
@@ -335,6 +344,7 @@ def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
             zeta_u = np.asarray(init, dtype=float).ravel()
         if zeta_u.size != spec.p:
             raise ValueError(f"zeta0 must have length {spec.p}, got {zeta_u.size}")
+        _require_finite("zeta0", zeta_u)
         sigma = zeta_u / rg
 
     lam_cur = lam_last
@@ -364,12 +374,17 @@ def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
                 rg = math.sqrt(gamma)
                 sigma = ax_last + lam_last / gamma
         sigma_new, x, z, y_half, y_one = _drs_sweep(sigma, spec, gamma, theta)
-        if not np.all(np.isfinite(sigma_new)):
+        # sigma is finite, so a non-finite entry of sigma_new makes step_norm
+        # non-finite: the full scan is needed only then (an overflowing norm
+        # of finite entries is recorded as an infinite residue)
+        step = sigma_new - sigma
+        step_norm = math.sqrt(step @ step)
+        if not math.isfinite(step_norm) and not np.all(np.isfinite(sigma_new)):
             raise ArithmeticError(f"non-finite iterate at sweep {k}")
         lam_cur = gamma * (sigma - y_half)
-        residue = rg * float(np.linalg.norm(sigma_new - sigma))
-        rows.append((k, gamma, residue, spec.eval_objective(x, z),
-                     float(np.linalg.norm(y_one - y_half))))
+        residue = rg * step_norm
+        gap = y_one - y_half
+        rows.append((k, gamma, residue, spec.eval_objective(x, z), math.sqrt(gap @ gap)))
         x_cur, z_cur = x, z
         ax_last, lam_last = y_one, lam_cur
         sigma = sigma_new

@@ -28,10 +28,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .engine import ProblemSpec, TerminationRule, solve
-from .prox import _shifted_solver, _soft_threshold, catalog_prox
+from .prox import _cholesky_solver, _shifted_solver, _soft_threshold, catalog_prox
 from . import tuner
 
 __all__ = [
@@ -124,11 +123,11 @@ def _build_lp(rng, dims, params):
     x_feas = np.abs(rng.standard_normal(n))
     A = np.abs(rng.standard_normal((m, n)))
     b = A @ x_feas
-    gram = cho_factor(A @ A.T)
+    gram_solve = _cholesky_solver(A @ A.T)
     a_cost = A @ cost
 
     def prox_f(w, g):
-        nu = cho_solve(gram, g * (A @ w - b) - a_cost)
+        nu = gram_solve(g * (A @ w - b) - a_cost)
         return w - (cost + A.T @ nu) / g
 
     def prox_g(w, g):
@@ -180,10 +179,10 @@ def _build_lad(rng, dims, params):
     k = _count(0.02, m) if k is None else int(k)
     idx = rng.choice(m, size=k, replace=False)
     b[idx] += 100.0 * rng.standard_normal(k)
-    gram = cho_factor(A.T @ A)
+    gram_solve = _cholesky_solver(A.T @ A)
 
     def prox_f(w, g):
-        return cho_solve(gram, A.T @ w)
+        return gram_solve(A.T @ w)
 
     def prox_g(w, g):
         return _soft_threshold(-w, 1.0 / g)
@@ -207,10 +206,10 @@ def _build_huber(rng, dims, params):
     eps_sparse = np.zeros(m)
     eps_sparse[idx] = rng.uniform(0.0, 1.0, k)
     b = A @ x_true + eps_dense + eps_sparse
-    gram = cho_factor(A.T @ A)
+    gram_solve = _cholesky_solver(A.T @ A)
 
     def prox_f(w, g):
-        return cho_solve(gram, A.T @ w)
+        return gram_solve(A.T @ w)
 
     def prox_g(w, g):
         t = 1.0 / g
@@ -234,10 +233,10 @@ def _build_bp(rng, dims, params):
     x_true[idx] = rng.standard_normal(k)
     b = A @ x_true
     alpha = float(params["alpha"])
-    gram = cho_factor(A @ A.T)
+    gram_solve = _cholesky_solver(A @ A.T)
 
     def prox_f(w, g):
-        return w - A.T @ cho_solve(gram, A @ w - b)
+        return w - A.T @ gram_solve(A @ w - b)
 
     def prox_g(w, g):
         return _soft_threshold(-w, alpha / g)

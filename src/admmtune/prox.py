@@ -18,7 +18,9 @@ conjugate function itself.
 ``catalog_prox`` builds classical handles for a collection of standard
 functions.  The quadratic entries eigendecompose their matrix once, when the
 handle is built, and then solve at any penalty with two matrix-vector
-products; handles hold only read-only arrays and are safe to share across
+products.  ``affine_set``, whose system does not depend on the penalty,
+Cholesky-factors it once and then solves with one LAPACK call per
+evaluation.  Handles hold only read-only arrays and are safe to share across
 threads.
 """
 
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import eigh
-from scipy.linalg import cho_factor, cho_solve, solveh_banded, svd, svdvals
+from scipy.linalg import cho_factor, get_lapack_funcs, solveh_banded, svd, svdvals
 
 __all__ = [
     "CLASSICAL",
@@ -172,10 +174,31 @@ def _shifted_solver(G):
     U.setflags(write=False)
 
     def solve(a, b, r):
-        d = a + b * s
-        if not np.all(d > 0.0):
+        # s is sorted ascending, so a + b*s is smallest at one of its ends
+        if not (a + b * s[0] > 0.0 and a + b * s[-1] > 0.0):
             raise ValueError(f"a*I + b*G is not positive definite at a={a}, b={b}")
-        return U @ ((U.T @ r) / d)
+        return U @ ((U.T @ r) / (a + b * s))
+
+    return solve
+
+
+def _cholesky_solver(M):
+    """Return ``solve(r) = M^-1 r`` for a symmetric positive definite ``M``.
+
+    ``M`` is Cholesky-factored once; each solve is one LAPACK ``potrs`` call
+    on the read-only factor, the same call ``scipy.linalg.cho_solve`` makes
+    after its per-call argument checks.  ``solve`` may be shared across
+    threads.  It raises ValueError when LAPACK reports an illegal argument.
+    """
+    factor, lower = cho_factor(M)
+    factor.setflags(write=False)
+    potrs, = get_lapack_funcs(("potrs",), (factor,))
+
+    def solve(r):
+        x, info = potrs(factor, r, lower=lower)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
+        return x
 
     return solve
 
@@ -235,11 +258,11 @@ def _make_affine_set(A, b):
     if A.ndim != 2 or A.shape[0] != b.size:
         raise ValueError(f"need A (p, n) and b (p,), got {A.shape} and {b.shape}")
     _check_full_row_rank(svdvals(A), "affine-set matrix A")
-    gram = cho_factor(A @ A.T)
+    gram_solve = _cholesky_solver(A @ A.T)
 
     def evaluate(v, gamma):
         _require_positive(gamma)
-        return v - A.T @ cho_solve(gram, A @ v - b)
+        return v - A.T @ gram_solve(A @ v - b)
 
     return evaluate, A.shape[1]
 
@@ -427,9 +450,10 @@ def catalog_prox(kind: str, **params) -> ProxHandle:
     ProxHandle
         Classical convention.  The quadratic entries (``quad_affine``,
         ``lstsq``) eigendecompose their matrix once, here, and serve every
-        penalty value from it; ``tv_quad`` solves its tridiagonal system per
-        call.  No handle writes to the data it holds, so every handle may
-        be shared across threads.
+        penalty value from it; ``affine_set`` Cholesky-factors ``A A^T`` once,
+        here; ``tv_quad`` solves its tridiagonal system per call.  No handle
+        writes to the data it holds, so every handle may be shared across
+        threads.
     """
     try:
         builder = _CATALOG[kind]

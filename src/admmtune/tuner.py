@@ -189,7 +189,7 @@ def estimate_step(state, plan: StepSizePlan, zeta0=None) -> float:
         return current
     ax = state.ax if state.ax is not None else state.x
     lam = state.lam
-    if float(np.linalg.norm(ax)) < _DEGENERATE_NORM or float(np.linalg.norm(lam)) < _DEGENERATE_NORM:
+    if math.sqrt(ax @ ax) < _DEGENERATE_NORM or math.sqrt(lam @ lam) < _DEGENERATE_NORM:
         return current
     new = gamma_general(ax, lam, zeta0)
     if plan.update_threshold > 0.0 and abs(new - current) <= plan.update_threshold * current:

@@ -115,6 +115,50 @@ def test_divergent_iterates_raise():
                 admm_step(state, spec)
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_solve_rejects_non_finite_iterate(value):
+    spec = ProblemSpec(
+        prox_f=lambda w, g: np.full_like(w, value),
+        prox_g=lambda w, g: -w,
+        p=2,
+    )
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ArithmeticError):
+            solve(spec, StepSizePlan.fixed(1.0), rule=TerminationRule(max_iter=5))
+
+
+def test_solve_records_overflowing_residue_of_finite_iterates():
+    # every entry stays near 1e200, but the squared step norm overflows
+    spec = ProblemSpec(
+        prox_f=lambda w, g: np.full_like(w, 1e200),
+        prox_g=lambda w, g: np.zeros_like(w),
+        p=2,
+    )
+    with np.errstate(over="ignore"):
+        rec = solve(spec, StepSizePlan.fixed(1.0), rule=TerminationRule(max_iter=3))
+    assert rec.iterations == 3 and not rec.converged
+    assert all(np.isinf(row[2]) for row in rec.rows)
+    assert np.all(np.isfinite(rec.zeta_unscaled))
+
+
+@pytest.mark.parametrize("kind", ["lp", "lasso"])
+def test_non_finite_start_is_rejected(desk, kind):
+    spec = desk(kind).spec
+    plan = StepSizePlan.fixed(1.0)
+    for value in (np.nan, np.inf):
+        bad = np.zeros(spec.p)
+        bad[0] = value
+        with pytest.raises(ValueError):
+            solve(spec, plan, init=bad)
+        with pytest.raises(ValueError):
+            drs_step(bad, spec, 1.0)
+        for slot in range(3):
+            triple = [np.zeros(spec.n), np.zeros(spec.m), np.zeros(spec.p)]
+            triple[slot] = np.full_like(triple[slot], value)
+            with pytest.raises(ValueError):
+                solve(spec, plan, init=tuple(triple))
+
+
 def test_halved_averaging_reproduces_sweeps():
     spec = small_spec(seed=5)
     g = 1.7

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 import admmtune as at
 from admmtune import (
@@ -147,6 +148,27 @@ def test_quadratic_x_step_matches_dense_solve(desk, kind, dims):
         want = np.linalg.solve(*_x_step_system(inst, w, gamma))
         got = inst.spec.prox_f(w, gamma)
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want), gamma
+
+
+def _cho_solve_x_step(inst, w, gamma):
+    """The x-step of lp, lad, huber and bp written with ``scipy.linalg.cho_solve``."""
+    A, b = inst.data["A"], inst.data["b"]
+    if inst.kind == "lp":
+        cost = inst.data["cost"]
+        nu = cho_solve(cho_factor(A @ A.T), gamma * (A @ w - b) - A @ cost)
+        return w - (cost + A.T @ nu) / gamma
+    if inst.kind == "bp":
+        return w - A.T @ cho_solve(cho_factor(A @ A.T), A @ w - b)
+    return cho_solve(cho_factor(A.T @ A), A.T @ w)
+
+
+@pytest.mark.parametrize("kind", ["lp", "lad", "huber", "bp"])
+def test_cholesky_x_step_is_the_cho_solve_arithmetic(desk, kind):
+    inst = desk(kind)
+    rng = np.random.default_rng(17)
+    for gamma in np.geomspace(1e-3, 1e3, 13):
+        w = rng.normal(size=inst.spec.p)
+        assert np.array_equal(inst.spec.prox_f(w, gamma), _cho_solve_x_step(inst, w, gamma)), gamma
 
 
 def test_objective_is_finite_at_oracle(desk, oracle):

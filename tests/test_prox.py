@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from scipy.linalg import cho_factor, cho_solve
+
 import admmtune.prox as prox_mod
 from admmtune import (
     CLASSICAL,
@@ -190,6 +192,17 @@ def test_affine_set_requires_full_row_rank():
         catalog_prox("affine_set", A=np.array([[1.0, 0.0], [2.0, 0.0]]), b=np.zeros(2))
 
 
+def test_affine_set_is_the_cho_solve_arithmetic():
+    rng = np.random.default_rng(9)
+    A = rng.normal(size=(3, 7))
+    b = rng.normal(size=3)
+    h = catalog_prox("affine_set", A=A, b=b)
+    gram = cho_factor(A @ A.T)
+    for gamma in GAMMAS:
+        v = rng.normal(size=7)
+        assert np.array_equal(h(v, gamma), v - A.T @ cho_solve(gram, A @ v - b)), gamma
+
+
 def test_lstsq_matches_dense_solve_both_shapes():
     rng = np.random.default_rng(7)
     for A in (EXTRAS["A_tall"], EXTRAS["A_wide"]):
@@ -245,6 +258,28 @@ def test_shifted_solver_residual(system):
     x = prox_mod._shifted_solver(G)(a, b, r)
     resid = (a * np.eye(G.shape[0]) + b * G) @ x - r
     assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(r)
+
+
+@st.composite
+def _symmetric_shifts(draw):
+    n = draw(st.integers(1, 8))
+    M = draw(arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0)))
+    a = draw(st.floats(-1e3, 1e3))
+    b = draw(st.floats(-1e3, 1e3))
+    return M + M.T, a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(_symmetric_shifts())
+def test_shifted_solver_rejects_exactly_the_indefinite_shifts(system):
+    G, a, b = system
+    s = np.linalg.eigh(G)[0]
+    solve = prox_mod._shifted_solver(G)
+    if np.any(a + b * s <= 0.0):
+        with pytest.raises(ValueError):
+            solve(a, b, np.ones(G.shape[0]))
+    else:
+        solve(a, b, np.ones(G.shape[0]))
 
 
 def test_huber_piecewise_form():
