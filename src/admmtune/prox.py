@@ -174,8 +174,9 @@ def _shifted_solver(G):
     U.setflags(write=False)
 
     def solve(a, b, r):
-        # s is sorted ascending, so a + b*s is smallest at one of its ends
-        if not (a + b * s[0] > 0.0 and a + b * s[-1] > 0.0):
+        # s is sorted ascending, so a + b*s is smallest at one of its ends;
+        # an empty s (a point constraint leaves a 0x0 reduced Hessian) passes
+        if s.size and not (a + b * s[0] > 0.0 and a + b * s[-1] > 0.0):
             raise ValueError(f"a*I + b*G is not positive definite at a={a}, b={b}")
         return U @ ((U.T @ r) / (a + b * s))
 

@@ -187,8 +187,8 @@ def estimate_step(state, plan: StepSizePlan, zeta0=None) -> float:
     current = float(state.gamma)
     if plan.freeze_after is not None and state.k >= plan.freeze_after:
         return current
-    ax = state.ax if state.ax is not None else state.x
-    lam = state.lam
+    ax = np.asarray(state.ax if state.ax is not None else state.x, dtype=float).ravel()
+    lam = np.asarray(state.lam, dtype=float).ravel()
     if math.sqrt(ax @ ax) < _DEGENERATE_NORM or math.sqrt(lam @ lam) < _DEGENERATE_NORM:
         return current
     new = gamma_general(ax, lam, zeta0)

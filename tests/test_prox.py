@@ -174,6 +174,13 @@ def test_constrained_quadratic_pinned_point():
     h = catalog_prox("quad_affine", P=np.eye(2), q=np.zeros(2),
                      A=np.array([[1.0, 1.0]]), b=np.array([2.0]))
     assert np.allclose(h(np.zeros(2), 1.0), [1.0, 1.0], atol=1e-12)
+    # a square full-rank A leaves an empty null space: the prox is A^-1 b
+    b = np.array([0.3, -1.2])
+    h = catalog_prox("quad_affine", P=np.eye(2), A=np.eye(2), b=b)
+    assert np.array_equal(h(np.array([5.0, 7.0]), 1.0), b)
+    A = np.array([[2.0, 1.0], [0.5, 3.0]])
+    h = catalog_prox("quad_affine", P=np.eye(2), A=A, b=b)
+    assert np.allclose(h(np.array([5.0, 7.0]), 0.4), np.linalg.solve(A, b), atol=1e-12)
 
 
 def test_quadratic_validation():

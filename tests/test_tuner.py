@@ -141,6 +141,17 @@ def test_estimate_step_degenerate_iterates_keep_gamma():
     assert estimate_step(state, plan) == 0.7
 
 
+def test_estimate_step_accepts_array_like_iterates():
+    plan = StepSizePlan.estimated()
+    want = estimate_step(SolverState(x=np.ones(4), z=np.ones(4), lam=2.0 * np.ones(4),
+                                     gamma=1.0, k=3), plan)
+    for x, lam in (([1, 1, 1, 1], [2, 2, 2, 2]),
+                   (np.ones((2, 2)), 2.0 * np.ones((2, 2))),
+                   (np.ones(4, dtype=int), np.full(4, 2, dtype=int))):
+        state = SolverState(x=x, z=np.ones(4), lam=lam, gamma=1.0, k=3)
+        assert estimate_step(state, plan) == want
+
+
 def test_estimate_step_prefers_cached_constraint_image():
     plan = StepSizePlan.estimated()
     state = SolverState(x=np.ones(4), z=np.ones(4), lam=np.ones(4), gamma=1.0, k=2,
