@@ -65,6 +65,7 @@ from .problems import (
     ProblemInstance,
     compute_oracle,
     generate,
+    generate_data,
     step_formula,
 )
 
@@ -111,6 +112,7 @@ __all__ = [
     "ProblemInstance",
     "compute_oracle",
     "generate",
+    "generate_data",
     "step_formula",
     "__version__",
 ]

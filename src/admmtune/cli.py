@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 import tempfile
@@ -305,6 +306,8 @@ def _cmd_grid(args, config, config_path):
     strict = opts.get("strict", _parse_bool, False)
     if points < 1:
         raise ConfigError(f"points must be at least 1, got {points}")
+    if not (math.isfinite(gamma_min) and math.isfinite(gamma_max)):
+        raise ConfigError(f"gamma-min and gamma-max must be finite, got {gamma_min} and {gamma_max}")
     if not 0.0 < gamma_min <= gamma_max:
         raise ConfigError(f"need 0 < gamma-min <= gamma-max, got {gamma_min} and {gamma_max}")
     if jobs < 1:
@@ -413,10 +416,10 @@ def _cmd_contradiction(args, config, config_path):
 def _cmd_generate(args, config, config_path):
     opts = _Options(args, config, "generate", config_path)
     kind, profile, seed, out = _resolve_common(opts)
-    instance = problems.generate(kind, profile=profile, seed=seed)
+    description = problems.generate_data(kind, profile=profile, seed=seed)
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, f"{_instance_tag(kind, profile, seed)}_instance.json")
-    _atomic_write(path, _json_text(instance.to_dict()))
+    _atomic_write(path, _json_text(description))
     print(f"instance: {path}")
     return 0
 

@@ -25,6 +25,7 @@ import numpy as np
 from scipy.linalg import svdvals
 
 from . import tuner as _tuner
+from .quartic import _require_finite
 
 __all__ = [
     "ProblemSpec",
@@ -142,7 +143,8 @@ class SolverState:
     the newest primal point with the multiplier from before the dual step,
     and is refreshed by every call to ``admm_step``.  ``zeta_gamma`` records
     the step size that produced it so residues are only chained across steps
-    taken at one and the same gamma.
+    taken at one and the same gamma.  ``solve`` keeps one per estimated run,
+    refreshed in place each sweep, to pass the iterates to ``estimate_step``.
     """
 
     x: np.ndarray
@@ -239,11 +241,6 @@ def admm_step(state: SolverState, spec: ProblemSpec) -> SolverState:
     state.zeta_unscaled, state.zeta_gamma = zeta, g
     state.k += 1
     return state
-
-
-def _require_finite(name, v):
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} must be finite")
 
 
 def _drs_sweep(sigma, spec, gamma, theta):
@@ -364,10 +361,14 @@ def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
     iterations_to_tol = None
     converged = False
     k_done = 0
+    est_state = None
+    if plan.mode == _tuner.ESTIMATED:
+        # the estimator reads one state per run, refreshed in place each sweep
+        est_state = SolverState(x=None, z=None, lam=None, gamma=gamma)
     for k in range(1, rule.max_iter + 1):
-        if plan.mode == _tuner.ESTIMATED and k >= 2:
-            est_state = SolverState(x=x_cur, z=z_cur, lam=lam_cur, gamma=gamma,
-                                    k=k - 1, ax=ax_last)
+        if est_state is not None and k >= 2:
+            est_state.x, est_state.z, est_state.lam, est_state.ax = x_cur, z_cur, lam_cur, ax_last
+            est_state.gamma, est_state.k = gamma, k - 1
             new_gamma = _tuner.estimate_step(est_state, plan)
             if new_gamma != gamma:
                 gamma = new_gamma

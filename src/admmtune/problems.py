@@ -1,12 +1,14 @@
 """Benchmark problem generators with reproducible data and cached solves.
 
-Every generator draws its data from ``numpy.random.default_rng(seed)`` in a
-fixed documented order, builds the split form
+Every family draws its data from ``numpy.random.default_rng(seed)`` in a
+fixed documented order, then builds the split form
 
     minimize  f(x) + g(z)   subject to   A x + B z = c
 
-as a :class:`~admmtune.engine.ProblemSpec`, and wraps it in a
-:class:`ProblemInstance` together with the raw arrays.  Two size profiles are
+from that data alone as a :class:`~admmtune.engine.ProblemSpec`.
+:func:`generate` runs both steps and wraps the spec in a
+:class:`ProblemInstance` together with the raw arrays; :func:`generate_data`
+runs only the draw, for exports that never solve.  Two size profiles are
 bundled: "desk" instances solve in seconds and back the test suite, "paper"
 instances are the full-size counterparts.
 
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import ProblemSpec, TerminationRule, solve
-from .prox import _cholesky_solver, _shifted_solver, _soft_threshold, catalog_prox
+from .prox import _cholesky_solver, _shifted_solver, _soft_threshold, _wide_gram_solver, catalog_prox
 from . import tuner
 
 __all__ = [
@@ -39,6 +41,7 @@ __all__ = [
     "ProblemInstance",
     "OracleSolution",
     "generate",
+    "generate_data",
     "compute_oracle",
     "step_formula",
 ]
@@ -103,26 +106,36 @@ class ProblemInstance:
 
     def to_dict(self) -> dict:
         """JSON-ready description: scalars as-is, arrays as nested lists."""
-        return {
-            "schema": 1,
-            "kind": self.kind,
-            "seed": self.seed,
-            "dims": dict(self.dims),
-            "params": {k: v for k, v in self.params.items()},
-            "data": {k: np.asarray(v).tolist() for k, v in self.data.items()},
-        }
+        return _describe(self.kind, self.seed, self.dims, self.params, self.data)
+
+
+def _describe(kind, seed, dims, params, data):
+    return {
+        "schema": 1,
+        "kind": kind,
+        "seed": seed,
+        "dims": dict(dims),
+        "params": {k: v for k, v in params.items()},
+        "data": {k: np.asarray(v).tolist() for k, v in data.items()},
+    }
 
 
 def _count(fraction, total):
     return max(1, int(round(fraction * total)))
 
 
-def _build_lp(rng, dims, params):
+def _draw_lp(rng, dims, params):
     m, n = dims["m"], dims["n"]
     cost = rng.uniform(0.5, 1.5, n)
     x_feas = np.abs(rng.standard_normal(n))
     A = np.abs(rng.standard_normal((m, n)))
     b = A @ x_feas
+    return {"cost": cost, "A": A, "b": b}, dict(params)
+
+
+def _spec_lp(dims, data, params):
+    cost, A, b = data["cost"], data["A"], data["b"]
+    n = dims["n"]
     gram_solve = _cholesky_solver(A @ A.T)
     a_cost = A @ cost
 
@@ -136,11 +149,10 @@ def _build_lp(rng, dims, params):
     def objective(x, z):
         return float(cost @ x)
 
-    spec = ProblemSpec(prox_f, prox_g, objective, n=n, p=n)
-    return spec, {"cost": cost, "A": A, "b": b}, dict(params)
+    return ProblemSpec(prox_f, prox_g, objective, n=n, p=n)
 
 
-def _build_qp(rng, dims, params):
+def _draw_qp(rng, dims, params):
     n = dims["n"]
     M = rng.uniform(0.0, 1.0, (n, n))
     w_eig, Q = np.linalg.eigh(0.5 * (M + M.T))
@@ -154,6 +166,13 @@ def _build_qp(rng, dims, params):
     b2 = rng.standard_normal(n)
     lower = np.minimum(b1, b2)
     upper = np.maximum(b1, b2)
+    return {"P": P, "q": q, "r": r, "lower": lower, "upper": upper}, dict(params)
+
+
+def _spec_qp(dims, data, params):
+    P, q, r = data["P"], data["q"], data["r"]
+    lower, upper = data["lower"], data["upper"]
+    n = dims["n"]
     x_solve = _shifted_solver(P)
 
     def prox_f(w, g):
@@ -165,12 +184,10 @@ def _build_qp(rng, dims, params):
     def objective(x, z):
         return float(0.5 * x @ (P @ x) + q @ x + r)
 
-    spec = ProblemSpec(prox_f, prox_g, objective, n=n, p=n)
-    data = {"P": P, "q": q, "r": r, "lower": lower, "upper": upper}
-    return spec, data, dict(params)
+    return ProblemSpec(prox_f, prox_g, objective, n=n, p=n)
 
 
-def _build_lad(rng, dims, params):
+def _draw_lad(rng, dims, params):
     m, n = dims["m"], dims["n"]
     A = rng.standard_normal((m, n))
     x_true = 10.0 * rng.standard_normal(n)
@@ -179,6 +196,11 @@ def _build_lad(rng, dims, params):
     k = _count(0.02, m) if k is None else int(k)
     idx = rng.choice(m, size=k, replace=False)
     b[idx] += 100.0 * rng.standard_normal(k)
+    return {"A": A, "b": b, "x_true": x_true}, dict(params, corrupt_count=k)
+
+
+def _spec_lad(dims, data, params):
+    A, b = data["A"], data["b"]
     gram_solve = _cholesky_solver(A.T @ A)
 
     def prox_f(w, g):
@@ -190,12 +212,10 @@ def _build_lad(rng, dims, params):
     def objective(x, z):
         return float(np.abs(z).sum())
 
-    spec = ProblemSpec(prox_f, prox_g, objective, A=A, c=b)
-    out = dict(params, corrupt_count=k)
-    return spec, {"A": A, "b": b, "x_true": x_true}, out
+    return ProblemSpec(prox_f, prox_g, objective, A=A, c=b)
 
 
-def _build_huber(rng, dims, params):
+def _draw_huber(rng, dims, params):
     m, n = dims["m"], dims["n"]
     A = rng.standard_normal((m, n))
     A = A / np.linalg.norm(A, axis=0)
@@ -206,6 +226,11 @@ def _build_huber(rng, dims, params):
     eps_sparse = np.zeros(m)
     eps_sparse[idx] = rng.uniform(0.0, 1.0, k)
     b = A @ x_true + eps_dense + eps_sparse
+    return {"A": A, "b": b, "x_true": x_true}, dict(params)
+
+
+def _spec_huber(dims, data, params):
+    A, b = data["A"], data["b"]
     gram_solve = _cholesky_solver(A.T @ A)
 
     def prox_f(w, g):
@@ -220,11 +245,10 @@ def _build_huber(rng, dims, params):
         a = np.abs(z)
         return float(np.where(a <= 1.0, 0.5 * z * z, a - 0.5).sum())
 
-    spec = ProblemSpec(prox_f, prox_g, objective, A=A, c=b)
-    return spec, {"A": A, "b": b, "x_true": x_true}, dict(params)
+    return ProblemSpec(prox_f, prox_g, objective, A=A, c=b)
 
 
-def _build_bp(rng, dims, params):
+def _draw_bp(rng, dims, params):
     m, n = dims["m"], dims["n"]
     A = rng.standard_normal((m, n))
     k = _count(params["density"], n)
@@ -232,6 +256,12 @@ def _build_bp(rng, dims, params):
     x_true = np.zeros(n)
     x_true[idx] = rng.standard_normal(k)
     b = A @ x_true
+    return {"A": A, "b": b, "x_true": x_true}, dict(params)
+
+
+def _spec_bp(dims, data, params):
+    A, b = data["A"], data["b"]
+    n = dims["n"]
     alpha = float(params["alpha"])
     gram_solve = _cholesky_solver(A @ A.T)
 
@@ -244,11 +274,10 @@ def _build_bp(rng, dims, params):
     def objective(x, z):
         return float(alpha * np.abs(z).sum())
 
-    spec = ProblemSpec(prox_f, prox_g, objective, n=n, p=n)
-    return spec, {"A": A, "b": b, "x_true": x_true}, dict(params)
+    return ProblemSpec(prox_f, prox_g, objective, n=n, p=n)
 
 
-def _build_lasso(rng, dims, params):
+def _draw_lasso(rng, dims, params):
     m, n = dims["m"], dims["n"]
     A = rng.standard_normal((m, n))
     A = A / np.linalg.norm(A, axis=0)
@@ -259,6 +288,13 @@ def _build_lasso(rng, dims, params):
     b = A @ x_true + math.sqrt(0.001) * rng.standard_normal(m)
     alpha = params["alpha"]
     alpha = 0.1 * float(np.abs(A.T @ b).max()) if alpha is None else float(alpha)
+    return {"A": A, "b": b, "x_true": x_true}, dict(params, alpha=alpha)
+
+
+def _spec_lasso(dims, data, params):
+    A, b = data["A"], data["b"]
+    m, n = dims["m"], dims["n"]
+    alpha = params["alpha"]
     atb = A.T @ b
     if m >= n:
         x_solve = _shifted_solver(A.T @ A)
@@ -266,23 +302,37 @@ def _build_lasso(rng, dims, params):
         def prox_f(w, g):
             return x_solve(g, 1.0, atb + g * w)
 
+        def residual(x):
+            return A @ x - b
+
     else:
-        x_solve = _shifted_solver(A @ A.T)
+        x_solve, ub = _wide_gram_solver(A, b)
+        # the newest (x, t) pair, bound in one assignment so that no thread
+        # reads one call's x with another call's t
+        last = (None, None)
 
         def prox_f(w, g):
-            u = atb + g * w
-            return (u - A.T @ x_solve(g, 1.0, A @ u)) / g
+            nonlocal last
+            x, t = x_solve(g, 1.0, atb + g * w)
+            # read-only, so that t stays the image of this x
+            x.setflags(write=False)
+            last = (x, t)
+            return x
+
+        def residual(x):
+            # for the x that prox_f returned last, A x = U t and so
+            # ||A x - b|| = ||t - U^T b||: no pass over A
+            x_last, t = last
+            return t - ub if x is x_last else A @ x - b
 
     def prox_g(w, g):
         return _soft_threshold(-w, alpha / g)
 
     def objective(x, z):
-        res = A @ x - b
+        res = residual(x)
         return float(0.5 * res @ res + alpha * np.abs(z).sum())
 
-    spec = ProblemSpec(prox_f, prox_g, objective, n=n, p=n)
-    out = dict(params, alpha=alpha)
-    return spec, {"A": A, "b": b, "x_true": x_true}, out
+    return ProblemSpec(prox_f, prox_g, objective, n=n, p=n)
 
 
 def _difference_matrix(n):
@@ -293,13 +343,19 @@ def _difference_matrix(n):
     return F
 
 
-def _build_tv(rng, dims, params):
+def _draw_tv(rng, dims, params):
     n = dims["n"]
     x_true = np.ones(n)
     k = _count(params["spike_fraction"], n)
     idx = rng.choice(n, size=k, replace=False)
     x_true[idx] *= params["spike_scale"] * rng.standard_normal(k)
     b = x_true + rng.standard_normal(n)
+    return {"b": b, "x_true": x_true}, dict(params)
+
+
+def _spec_tv(dims, data, params):
+    b = data["b"]
+    n = dims["n"]
     alpha = float(params["alpha"])
     F = _difference_matrix(n)
     # a dense n x n eigenbasis of F^T F costs memory of the same order as F
@@ -320,14 +376,18 @@ def _build_tv(rng, dims, params):
 
     # F is (n-1) x n and can never have full column rank; the quadratic
     # data fit keeps the x step single-valued regardless
-    spec = ProblemSpec(prox_f, prox_g, objective, A=F, c=np.zeros(n - 1), rank_check=False)
-    return spec, {"b": b, "x_true": x_true}, dict(params)
+    return ProblemSpec(prox_f, prox_g, objective, A=F, c=np.zeros(n - 1), rank_check=False)
 
 
-def _build_sics(rng, dims, params):
+def _draw_sics(rng, dims, params):
     n, samples = dims["n"], dims["samples"]
     D = rng.standard_normal((samples, n))
-    S = np.cov(D, rowvar=False)
+    return {"S": np.cov(D, rowvar=False)}, dict(params)
+
+
+def _spec_sics(dims, data, params):
+    S = data["S"]
+    n = dims["n"]
     alpha = float(params["alpha"])
     logdet_handle = catalog_prox("logdet_quad", n=n, S=S)
 
@@ -344,20 +404,42 @@ def _build_sics(rng, dims, params):
             return float("inf")
         return float(np.trace(S @ X) - logdet + alpha * np.abs(z).sum())
 
-    spec = ProblemSpec(prox_f, prox_g, objective, n=n * n, p=n * n)
-    return spec, {"S": S}, dict(params)
+    return ProblemSpec(prox_f, prox_g, objective, n=n * n, p=n * n)
 
 
-_BUILDERS = {
-    "lp": _build_lp,
-    "qp": _build_qp,
-    "lad": _build_lad,
-    "huber": _build_huber,
-    "bp": _build_bp,
-    "lasso": _build_lasso,
-    "tv": _build_tv,
-    "sics": _build_sics,
+# per family: the data draw, then the spec build that reads only its output
+_FAMILIES = {
+    "lp": (_draw_lp, _spec_lp),
+    "qp": (_draw_qp, _spec_qp),
+    "lad": (_draw_lad, _spec_lad),
+    "huber": (_draw_huber, _spec_huber),
+    "bp": (_draw_bp, _spec_bp),
+    "lasso": (_draw_lasso, _spec_lasso),
+    "tv": (_draw_tv, _spec_tv),
+    "sics": (_draw_sics, _spec_sics),
 }
+
+
+def _draw(kind, dims, seed, params, profile):
+    """Validated dims, the drawn data and the resolved parameters."""
+    if kind not in _FAMILIES:
+        raise ValueError(f"unknown problem kind {kind!r}; known kinds: {sorted(_FAMILIES)}")
+    if dims is None:
+        profile = "paper" if profile is None else profile
+        if profile not in PROFILES[kind]:
+            raise ValueError(f"unknown profile {profile!r}; known profiles: {sorted(PROFILES[kind])}")
+        dims = PROFILES[kind][profile]
+    dims = {k: int(v) for k, v in dims.items()}
+    expected = set(PROFILES[kind]["desk"])
+    if set(dims) != expected:
+        raise ValueError(f"dims for {kind} needs keys {sorted(expected)}, got {sorted(dims)}")
+    merged = dict(_DEFAULT_PARAMS[kind])
+    for key, value in (params or {}).items():
+        if key not in merged:
+            raise ValueError(f"unknown parameter {key!r} for kind {kind}; known: {sorted(merged)}")
+        merged[key] = value
+    data, params_out = _FAMILIES[kind][0](np.random.default_rng(seed), dims, merged)
+    return dims, data, params_out
 
 
 def generate(kind: str, dims: dict = None, seed: int = 0, params: dict = None,
@@ -383,26 +465,23 @@ def generate(kind: str, dims: dict = None, seed: int = 0, params: dict = None,
     -------
     ProblemInstance
     """
-    if kind not in _BUILDERS:
-        raise ValueError(f"unknown problem kind {kind!r}; known kinds: {sorted(_BUILDERS)}")
-    if dims is None:
-        profile = "paper" if profile is None else profile
-        if profile not in PROFILES[kind]:
-            raise ValueError(f"unknown profile {profile!r}; known profiles: {sorted(PROFILES[kind])}")
-        dims = PROFILES[kind][profile]
-    dims = {k: int(v) for k, v in dims.items()}
-    expected = set(PROFILES[kind]["desk"])
-    if set(dims) != expected:
-        raise ValueError(f"dims for {kind} needs keys {sorted(expected)}, got {sorted(dims)}")
-    merged = dict(_DEFAULT_PARAMS[kind])
-    for key, value in (params or {}).items():
-        if key not in merged:
-            raise ValueError(f"unknown parameter {key!r} for kind {kind}; known: {sorted(merged)}")
-        merged[key] = value
-    rng = np.random.default_rng(seed)
-    spec, data, params_out = _BUILDERS[kind](rng, dims, merged)
+    dims, data, params_out = _draw(kind, dims, seed, params, profile)
+    spec = _FAMILIES[kind][1](dims, data, params_out)
     return ProblemInstance(kind=kind, seed=int(seed), dims=dims, params=params_out,
                            spec=spec, data=data)
+
+
+def generate_data(kind: str, dims: dict = None, seed: int = 0, params: dict = None,
+                  profile: str = None) -> dict:
+    """``generate(...).to_dict()`` without building the solver.
+
+    Takes the arguments of :func:`generate` and draws the same data, but
+    builds no ``ProblemSpec``: no eigendecomposition, factorization or rank
+    check, so a data-only export of a paper-size instance costs its draw
+    alone.
+    """
+    dims, data, params_out = _draw(kind, dims, seed, params, profile)
+    return _describe(kind, int(seed), dims, params_out, data)
 
 
 def compute_oracle(instance: ProblemInstance, tol: float = 1e-10,

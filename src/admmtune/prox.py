@@ -18,7 +18,9 @@ conjugate function itself.
 ``catalog_prox`` builds classical handles for a collection of standard
 functions.  The quadratic entries eigendecompose their matrix once, when the
 handle is built, and then solve at any penalty with two matrix-vector
-products.  ``affine_set``, whose system does not depend on the penalty,
+products.  A wide ``lstsq`` (fewer rows than columns) decomposes the small
+Gram matrix ``A A^T`` and folds its eigenbasis into ``A``, so each solve is
+two passes over one m x n matrix.  ``affine_set``, whose system does not depend on the penalty,
 Cholesky-factors it once and then solves with one LAPACK call per
 evaluation.  Handles hold only read-only arrays and are safe to share across
 threads.
@@ -183,6 +185,35 @@ def _shifted_solver(G):
     return solve
 
 
+def _wide_gram_solver(A, d):
+    """Return ``solve(a, b, r) -> (x, t)`` with ``x = (a*I + b*A^T A)^-1 r`` for a wide ``A``.
+
+    ``A A^T = U diag(s) U^T`` is eigendecomposed once and the m x m
+    eigenbasis is folded into ``W = U^T A``.  By the matrix-inversion lemma
+    ``x = (r - b W^T t) / a`` with ``t = (W r) / (a + b s)``: two passes over
+    the one m x n matrix ``W`` and none over ``U``, which is dropped.  Since
+    ``A x = U t``, the residual of a data vector ``d`` has the norm of
+    ``t - U^T d``; the second return value is ``U^T d`` for the ``d`` given
+    here.  ``W`` and ``s`` are read-only, so ``solve`` may be shared across
+    threads.  ``solve`` raises ValueError unless ``a > 0`` and
+    ``a*I + b*A^T A`` is positive definite.
+    """
+    s, U = eigh(A @ A.T)
+    W = U.T @ A
+    ud = U.T @ d
+    for v in (s, W, ud):
+        v.setflags(write=False)
+
+    def solve(a, b, r):
+        # s is sorted ascending, so a + b*s is smallest at one of its ends
+        if not (a > 0.0 and (not s.size or (a + b * s[0] > 0.0 and a + b * s[-1] > 0.0))):
+            raise ValueError(f"a*I + b*A^T A is not positive definite at a={a}, b={b}")
+        t = (W @ r) / (a + b * s)
+        return (r - b * (W.T @ t)) / a, t
+
+    return solve, ud
+
+
 def _cholesky_solver(M):
     """Return ``solve(r) = M^-1 r`` for a symmetric positive definite ``M``.
 
@@ -326,13 +357,11 @@ def _make_lstsq(A, b):
             return solve(1.0, gamma, v + gamma * atb)
 
     else:
-        # Woodbury: (I + g A^T A)^-1 u = u - g A^T (I + g A A^T)^-1 A u
-        solve = _shifted_solver(A @ A.T)
+        solve, _ = _wide_gram_solver(A, b)
 
         def evaluate(v, gamma):
             _require_positive(gamma)
-            u = v + gamma * atb
-            return u - gamma * (A.T @ solve(1.0, gamma, A @ u))
+            return solve(1.0, gamma, v + gamma * atb)[0]
 
     return evaluate, n
 
@@ -451,7 +480,9 @@ def catalog_prox(kind: str, **params) -> ProxHandle:
     ProxHandle
         Classical convention.  The quadratic entries (``quad_affine``,
         ``lstsq``) eigendecompose their matrix once, here, and serve every
-        penalty value from it; ``affine_set`` Cholesky-factors ``A A^T`` once,
+        penalty value from it; a wide ``lstsq`` folds the eigenbasis of
+        ``A A^T`` into ``A``, so a call is two passes over one m x n matrix;
+        ``affine_set`` Cholesky-factors ``A A^T`` once,
         here; ``tv_quad`` solves its tridiagonal system per call.  No handle
         writes to the data it holds, so every handle may be shared across
         threads.

@@ -97,6 +97,11 @@ class QuarticCoefficients:
         return max(abs(self.a), abs(self.b), abs(self.d), abs(self.e))
 
 
+def _require_finite(name, v):
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite")
+
+
 def build_coefficients(ax_star, lambda_star, zeta0=None) -> QuarticCoefficients:
     """Assemble the quartic for a given solution pair and starting point.
 
@@ -118,6 +123,8 @@ def build_coefficients(ax_star, lambda_star, zeta0=None) -> QuarticCoefficients:
 
     Raises
     ------
+    ValueError
+        If ``ax_star`` or ``lambda_star`` has a non-finite entry.
     DegenerateProblemError
         If ``ax_star`` or ``lambda_star`` is numerically zero.
     """
@@ -127,6 +134,8 @@ def build_coefficients(ax_star, lambda_star, zeta0=None) -> QuarticCoefficients:
         raise ValueError(
             f"ax_star and lambda_star must have matching sizes, got {ax.size} and {lam.size}"
         )
+    _require_finite("ax_star", ax)
+    _require_finite("lambda_star", lam)
     ax_nrm2 = float(ax @ ax)
     lam_nrm2 = float(lam @ lam)
     if not ax_nrm2 > 0.0:
@@ -155,6 +164,11 @@ def build_coefficients(ax_star, lambda_star, zeta0=None) -> QuarticCoefficients:
             "lambda_dot_zeta0": d,
         },
     )
+
+
+def _biquadratic_root(a: float, e: float) -> float:
+    """Positive root of ``a*alpha**4 + e`` for ``a > 0 > e``: the b = d = 0 quartic."""
+    return (-e / a) ** 0.25
 
 
 def _ferrari_roots(a: float, b: float, d: float, e: float):
@@ -242,7 +256,7 @@ def solve_quartic(coefficients: QuarticCoefficients) -> float:
     scale = c.scale()
     if c.b == 0.0 and c.d == 0.0:
         # biquadratic case: the radical formulas divide by zero here
-        return (-c.e / c.a) ** 0.25
+        return _biquadratic_root(c.a, c.e)
 
     roots = _ferrari_roots(c.a, c.b, c.d, c.e)
     candidates = _positive_real(roots, c, scale)

@@ -17,6 +17,8 @@ import numpy as np
 
 from .quartic import (
     DegenerateProblemError,
+    _biquadratic_root,
+    _require_finite,
     build_coefficients,
     optimal_gamma,
     solve_quartic,
@@ -56,12 +58,14 @@ class StepSizePlan:
         first.  ORACLE computes the optimal value once from a known solution
         pair before the run starts.
     gamma0 : float
-        Starting penalty (default 1).
+        Starting penalty (default 1), positive and finite.
     update_threshold : float
         ESTIMATED only: relative change below which a new estimate is
-        discarded and the current value kept (default 0, always update).
+        discarded and the current value kept (default 0, always update);
+        nonnegative and finite.
     freeze_after : int or None
-        ESTIMATED only: stop updating once this many sweeps are done.
+        ESTIMATED only: stop updating once this many sweeps are done; a
+        nonnegative integer (not a bool).
     ax_star, lambda_star, zeta0 : ndarray or None
         ORACLE only: the solution pair, and the start vector the optimum is
         computed for (None means the zero start).
@@ -78,12 +82,14 @@ class StepSizePlan:
     def __post_init__(self):
         if self.mode not in (FIXED, ESTIMATED, ORACLE):
             raise ValueError(f"unknown plan mode {self.mode!r}")
-        if not self.gamma0 > 0.0:
-            raise ValueError(f"gamma0 must be positive, got {self.gamma0}")
-        if self.update_threshold < 0.0:
-            raise ValueError(f"update_threshold must be nonnegative, got {self.update_threshold}")
-        if self.freeze_after is not None and self.freeze_after < 0:
-            raise ValueError(f"freeze_after must be nonnegative, got {self.freeze_after}")
+        if not (math.isfinite(self.gamma0) and self.gamma0 > 0.0):
+            raise ValueError(f"gamma0 must be positive and finite, got {self.gamma0}")
+        if not (math.isfinite(self.update_threshold) and self.update_threshold >= 0.0):
+            raise ValueError(
+                f"update_threshold must be nonnegative and finite, got {self.update_threshold}")
+        f = self.freeze_after
+        if f is not None and (isinstance(f, bool) or not isinstance(f, (int, np.integer)) or f < 0):
+            raise ValueError(f"freeze_after must be a nonnegative integer, got {f!r}")
         if self.mode == ORACLE and (self.ax_star is None or self.lambda_star is None):
             raise ValueError("an oracle plan needs ax_star and lambda_star")
 
@@ -139,10 +145,13 @@ def gamma_zero_init(ax_star, lambda_star) -> float:
     """Optimal step size for the zero start, ``||lambda_star|| / ||ax_star||``.
 
     This is the closed form the quartic reduces to when both mixed
-    coefficients vanish.
+    coefficients vanish.  A non-finite entry in either vector raises
+    ValueError.
     """
     ax = np.asarray(ax_star, dtype=float).ravel()
     lam = np.asarray(lambda_star, dtype=float).ravel()
+    _require_finite("ax_star", ax)
+    _require_finite("lambda_star", lam)
     ax_nrm = float(np.linalg.norm(ax))
     lam_nrm = float(np.linalg.norm(lam))
     if ax_nrm == 0.0:
@@ -171,7 +180,11 @@ def estimate_step(state, plan: StepSizePlan, zeta0=None) -> float:
         Mode must be ESTIMATED.
     zeta0 : ndarray or None
         Start vector the estimate should be optimal for; None means the zero
-        start, which reduces to ``||lam|| / ||A x||``.
+        start, which reduces to ``||lam|| / ||A x||``.  That case costs two
+        dot products, ``a = ||A x||^2`` and ``e = -||lam||^2``, and the
+        biquadratic root ``alpha = (-e/a)**(1/4)``; the estimate is
+        ``alpha * alpha``, the same bits ``gamma_general`` returns.  Any
+        other start builds the full quartic through ``gamma_general``.
 
     Returns
     -------
@@ -179,6 +192,12 @@ def estimate_step(state, plan: StepSizePlan, zeta0=None) -> float:
         The re-estimated step size, or ``state.gamma`` unchanged when the
         plan is frozen, the iterates are still degenerate (either norm below
         1e-12), or the relative change is within ``plan.update_threshold``.
+
+    Raises
+    ------
+    ValueError
+        If ``||A x||^2`` or ``||lam||^2`` is not finite (an overflowing or
+        non-finite iterate).
     """
     if plan.mode != ESTIMATED:
         raise ValueError(f"estimate_step needs an ESTIMATED plan, got mode {plan.mode!r}")
@@ -189,9 +208,21 @@ def estimate_step(state, plan: StepSizePlan, zeta0=None) -> float:
         return current
     ax = np.asarray(state.ax if state.ax is not None else state.x, dtype=float).ravel()
     lam = np.asarray(state.lam, dtype=float).ravel()
-    if math.sqrt(ax @ ax) < _DEGENERATE_NORM or math.sqrt(lam @ lam) < _DEGENERATE_NORM:
+    ax2 = float(ax @ ax)
+    lam2 = float(lam @ lam)
+    if math.sqrt(ax2) < _DEGENERATE_NORM or math.sqrt(lam2) < _DEGENERATE_NORM:
         return current
-    new = gamma_general(ax, lam, zeta0)
+    if zeta0 is None:
+        # the quartic's b = d = 0 case: a = ||A x||^2 and e = -||lam||^2 are
+        # its whole input, checked as QuarticCoefficients checks them
+        if not math.isfinite(ax2):
+            raise ValueError(f"coefficient a must be finite, got {ax2!r}")
+        if not math.isfinite(lam2):
+            raise ValueError(f"coefficient e must be finite, got {-lam2!r}")
+        alpha = _biquadratic_root(ax2, -lam2)
+        new = alpha * alpha
+    else:
+        new = gamma_general(ax, lam, zeta0)
     if plan.update_threshold > 0.0 and abs(new - current) <= plan.update_threshold * current:
         return current
     return new

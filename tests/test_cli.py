@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from admmtune import cli, generate
+from admmtune import KINDS, cli, generate, prox
 
 
 def run_cli(argv):
@@ -240,3 +240,35 @@ def test_generate_writes_instance(tmp_path):
     assert payload["schema"] == 1 and payload["kind"] == "bp" and payload["seed"] == 2
     fresh = generate("bp", profile="desk", seed=2)
     assert np.allclose(np.asarray(payload["data"]["A"]), fresh.data["A"])
+
+
+def test_non_finite_step_sizes_exit_two(tmp_path, capsys):
+    out = str(tmp_path)
+    for plan in ("fixed:inf", "fixed:nan", "estimated:inf"):
+        assert run_cli(["run", "--kind", "qp", "--plan", plan, "--out", out]) == 2
+        assert "gamma0 must be positive and finite" in capsys.readouterr().err
+    assert run_cli(["run", "--kind", "qp", "--plan", "estimated", "--update-threshold", "nan",
+                    "--out", out]) == 2
+    assert "update_threshold" in capsys.readouterr().err
+    for flag in ("--gamma-min", "--gamma-max"):
+        for value in ("inf", "nan"):
+            assert run_cli(["grid", "--kind", "qp", flag, value, "--out", out]) == 2
+            assert "must be finite" in capsys.readouterr().err
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a data export must not build a solver")
+
+
+def test_generate_exports_without_building_a_solver(tmp_path, monkeypatch):
+    wants = {kind: json.dumps(generate(kind, profile="desk", seed=2).to_dict(),
+                              indent=2, sort_keys=True) + "\n"
+             for kind in KINDS}
+    monkeypatch.setattr(prox, "eigh", _refuse)
+    monkeypatch.setattr(prox, "cho_factor", _refuse)
+    with pytest.raises(AssertionError):
+        generate("lasso", profile="desk", seed=2)
+    out = tmp_path / "gen"
+    for kind in KINDS:
+        assert run_cli(["generate", "--kind", kind, "--seed", "2", "--out", str(out)]) == 0
+        assert (out / f"{kind}_desk_seed2_instance.json").read_text() == wants[kind]

@@ -236,3 +236,54 @@ def test_paper_profile_dimensions_differ():
 
 def test_acceptance_seeds_cover_all_kinds():
     assert set(ACCEPT_SEEDS) == set(KINDS)
+
+
+def _textbook_lasso_objective(inst, x, z):
+    A, b = inst.data["A"], inst.data["b"]
+    res = A @ x - b
+    return 0.5 * res @ res + inst.params["alpha"] * np.abs(z).sum()
+
+
+def test_lasso_objective_reads_the_x_step_image():
+    inst = generate("lasso", profile="desk", seed=3)
+    spec = inst.spec
+    rng = np.random.default_rng(19)
+    for gamma in np.geomspace(1e-2, 1e2, 9):
+        w = rng.normal(size=spec.p)
+        z = rng.normal(size=spec.m)
+        x = spec.prox_f(w, gamma)
+        want = _textbook_lasso_objective(inst, x, z)
+        # the x prox_f returned last takes the folded route, a copy the textbook one
+        for got in (spec.objective(x, z), spec.objective(x.copy(), z)):
+            assert abs(got - want) <= 1e-12 * abs(want), gamma
+    with pytest.raises(ValueError):
+        x[0] = 1.0
+
+
+def test_lasso_objective_is_safe_across_threads():
+    from concurrent.futures import ThreadPoolExecutor
+
+    inst = generate("lasso", profile="desk", seed=3)
+    spec = inst.spec
+    rng = np.random.default_rng(23)
+    tasks = [(rng.normal(size=spec.p), rng.normal(size=spec.m), g)
+             for g in np.geomspace(1e-2, 1e2, 64)]
+
+    def run(task):
+        w, z, gamma = task
+        x = spec.prox_f(w, gamma)
+        return x, z, spec.objective(x, z)
+
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        results = list(pool.map(run, tasks))
+    for x, z, got in results:
+        want = _textbook_lasso_objective(inst, x, z)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_tall_lasso_objective_is_the_textbook_form():
+    inst = generate("lasso", dims={"m": 60, "n": 40}, seed=1)
+    rng = np.random.default_rng(29)
+    x = inst.spec.prox_f(rng.normal(size=40), 0.7)
+    z = rng.normal(size=40)
+    assert inst.spec.objective(x, z) == float(_textbook_lasso_objective(inst, x, z))

@@ -390,18 +390,61 @@ def test_lstsq_decomposes_once_for_every_penalty(monkeypatch):
 
     monkeypatch.setattr(prox_mod, "eigh", counting)
     rng = np.random.default_rng(11)
-    A = rng.normal(size=(6, 4))
-    h = catalog_prox("lstsq", A=A, b=rng.normal(size=6))
-    assert len(calls) == 1
-    v = rng.normal(size=4)
-    for gamma in (0.1, 0.5, 1.0, 2.0, 3.0):
-        h(v, gamma)
-    gammas = 0.25 * np.arange(1, 41)
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        shared = list(pool.map(lambda gamma: h(v, gamma), gammas))
-    assert len(calls) == 1
-    for gamma, out in zip(gammas, shared):
-        assert np.array_equal(out, h(v, gamma))
+    for m, n in ((6, 4), (4, 6)):  # tall, then wide
+        calls.clear()
+        A = rng.normal(size=(m, n))
+        h = catalog_prox("lstsq", A=A, b=rng.normal(size=m))
+        assert len(calls) == 1
+        v = rng.normal(size=n)
+        for gamma in (0.1, 0.5, 1.0, 2.0, 3.0):
+            h(v, gamma)
+        gammas = 0.25 * np.arange(1, 41)
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            shared = list(pool.map(lambda gamma: h(v, gamma), gammas))
+        assert len(calls) == 1
+        for gamma, out in zip(gammas, shared):
+            assert np.array_equal(out, h(v, gamma))
+
+
+@st.composite
+def _wide_systems(draw):
+    m = draw(st.integers(1, 6))
+    n = m + draw(st.integers(1, 6))
+    A = draw(arrays(np.float64, (m, n), elements=st.floats(-1.0, 1.0)))
+    A[:, :m] += 2.0 * np.eye(m)  # full row rank
+    a = draw(st.floats(1e-3, 1e3))
+    b = draw(st.floats(1e-3, 1e3))
+    r = draw(arrays(np.float64, n, elements=st.floats(-1e3, 1e3)))
+    d = draw(arrays(np.float64, m, elements=st.floats(-1e3, 1e3)))
+    return A, a, b, r, d
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide_systems())
+def test_wide_gram_solver_residual_and_image(system):
+    A, a, b, r, d = system
+    solve, ud = prox_mod._wide_gram_solver(A, d)
+    x, t = solve(a, b, r)
+    norm_a = np.linalg.norm(A, 2)
+    # rounding scale of x = (r - b W^T t) / a, which cancels when a is small
+    x_err = 1e-12 * (np.linalg.norm(r) + b * norm_a * np.linalg.norm(t)) / a
+    resid = (a * np.eye(A.shape[1]) + b * A.T @ A) @ x - r
+    assert np.linalg.norm(resid) <= (a + b * norm_a**2) * x_err
+    # A x = U t with U orthogonal, so the data residual keeps its norm
+    gap = abs(np.linalg.norm(t - ud) - np.linalg.norm(A @ x - d))
+    assert gap <= 1e-12 * (np.linalg.norm(t) + np.linalg.norm(d)) + norm_a * x_err
+
+
+def test_wide_gram_solver_rejects_non_positive_definite_shifts():
+    rng = np.random.default_rng(14)
+    A = rng.normal(size=(3, 7))
+    solve, _ = prox_mod._wide_gram_solver(A, np.zeros(3))
+    s = np.linalg.eigvalsh(A @ A.T)
+    r = np.ones(7)
+    solve(1.0, 2.0, r)
+    for a, b in ((0.0, 1.0), (-1.0, 1.0), (1.0, -1.0 / s[0]), (1.0, -2.0 / s[-1])):
+        with pytest.raises(ValueError):
+            solve(a, b, r)
 
 
 def test_handle_validates_inputs():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import admmtune as at
+import admmtune.quartic as quartic_mod
+import admmtune.tuner as tuner_mod
 from admmtune import (
     DegenerateProblemError,
     OptimalPair,
@@ -188,3 +190,108 @@ def test_structure_guess_feasibility():
     b = rng.normal(size=3)
     guess = structure_init("lp", {"A": A, "b": b})
     assert np.allclose(A @ guess, b, atol=1e-10)
+
+
+def test_plan_rejects_non_finite_and_non_integer_settings():
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="gamma0"):
+            StepSizePlan.fixed(bad)
+        with pytest.raises(ValueError, match="gamma0"):
+            StepSizePlan.estimated(gamma0=bad)
+        with pytest.raises(ValueError, match="update_threshold"):
+            StepSizePlan.estimated(update_threshold=bad)
+    for bad in (2.5, True, -1, "3"):
+        with pytest.raises(ValueError, match="freeze_after"):
+            StepSizePlan.estimated(freeze_after=bad)
+    assert StepSizePlan.estimated(freeze_after=0).freeze_after == 0
+    assert StepSizePlan.estimated(freeze_after=np.int64(3)).freeze_after == 3
+
+
+def test_non_finite_solution_vectors_are_named(desk):
+    with pytest.raises(ValueError, match="ax_star must be finite"):
+        gamma_zero_init([np.inf, 1.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="lambda_star must be finite"):
+        gamma_zero_init([1.0, 1.0], [np.nan, 1.0])
+    with pytest.raises(ValueError, match="ax_star must be finite"):
+        build_coefficients([np.nan, 1.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="lambda_star must be finite"):
+        gamma_general([1.0, 1.0], [1.0, np.inf], np.ones(2))
+    spec = desk("qp").spec
+    bad = StepSizePlan.oracle(np.full(spec.p, np.nan), np.ones(spec.p))
+    with pytest.raises(ValueError, match="ax_star must be finite"):
+        at.solve(spec, bad)
+    u, v = np.array([3.0, 4.0]), np.array([6.0, 8.0])
+    assert gamma_zero_init(u, v) == 2.0
+
+
+def test_zero_start_estimate_is_the_gamma_general_bits():
+    rng = np.random.default_rng(5)
+    plan = StepSizePlan.estimated()
+    for _ in range(500):
+        n = int(rng.integers(1, 50))
+        ax = rng.normal(size=n) * 10.0 ** rng.uniform(-5.0, 5.0)
+        lam = rng.normal(size=n) * 10.0 ** rng.uniform(-5.0, 5.0)
+        state = SolverState(x=None, z=None, lam=lam, gamma=1.0, k=1, ax=ax)
+        assert estimate_step(state, plan) == gamma_general(ax, lam)
+
+
+def test_estimate_step_overflowing_iterates_raise():
+    plan = StepSizePlan.estimated()
+    big = SolverState(x=np.full(4, 1e200), z=np.ones(4), lam=np.ones(4), gamma=1.0, k=2)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="coefficient a must be finite"):
+        estimate_step(big, plan)
+    big = SolverState(x=np.ones(4), z=np.ones(4), lam=np.full(4, 1e200), gamma=1.0, k=2)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="coefficient e must be finite"):
+        estimate_step(big, plan)
+
+
+def _gamma_general_estimate(state, plan, zeta0=None):
+    """estimate_step's rules, with every estimate taken through gamma_general."""
+    current = float(state.gamma)
+    if plan.freeze_after is not None and state.k >= plan.freeze_after:
+        return current
+    ax = state.ax if state.ax is not None else state.x
+    if np.linalg.norm(ax) < 1e-12 or np.linalg.norm(state.lam) < 1e-12:
+        return current
+    new = gamma_general(ax, state.lam, zeta0)
+    if plan.update_threshold > 0.0 and abs(new - current) <= plan.update_threshold * current:
+        return current
+    return new
+
+
+@pytest.mark.parametrize("kind", ["lp", "tv"])
+@pytest.mark.parametrize("plan", [StepSizePlan.estimated(), StepSizePlan.estimated(0.5, 0.01, 30)],
+                         ids=["default", "threshold-freeze"])
+def test_estimated_gamma_column_is_the_gamma_general_loop(desk, monkeypatch, kind, plan):
+    spec = desk(kind).spec
+    rule = TerminationRule(tol=1e-6, max_iter=100_000)
+    got = at.solve(spec, plan, rule=rule)
+    monkeypatch.setattr(tuner_mod, "estimate_step", _gamma_general_estimate)
+    want = at.solve(spec, plan, rule=rule)
+    gammas = [row[1] for row in got.rows]
+    assert gammas == [row[1] for row in want.rows]
+    assert len(set(gammas)) > 1
+
+
+def test_solve_estimates_once_per_sweep_after_the_first(desk, monkeypatch):
+    real_estimate, real_quartic = tuner_mod.estimate_step, quartic_mod.solve_quartic
+    seen, quartic_calls = [], []
+
+    def estimate(state, plan, *args):
+        seen.append((state, state.k))
+        return real_estimate(state, plan, *args)
+
+    def quartic(coefficients):
+        quartic_calls.append(coefficients)
+        return real_quartic(coefficients)
+
+    monkeypatch.setattr(tuner_mod, "estimate_step", estimate)
+    monkeypatch.setattr(quartic_mod, "solve_quartic", quartic)
+    rec = at.solve(desk("tv").spec, StepSizePlan.estimated(),
+                   rule=TerminationRule(tol=1e-6, max_iter=100_000))
+    assert len(seen) == rec.iterations - 1
+    assert [k for _, k in seen] == list(range(1, rec.iterations))
+    # one state per run, refreshed in place
+    assert all(state is seen[0][0] for state, _ in seen)
+    # zero-start estimates take the biquadratic root without the quartic solver
+    assert not quartic_calls
