@@ -40,7 +40,6 @@ from .engine import (
     RunRecord,
     SolverState,
     TerminationRule,
-    admm_step,
     contradiction_demo,
     drs_step,
     solve,
@@ -56,7 +55,6 @@ from .tuner import (
     gamma_general,
     gamma_zero_init,
     optimal_pair,
-    structure_init,
 )
 from .problems import (
     KINDS,
@@ -66,7 +64,6 @@ from .problems import (
     compute_oracle,
     generate,
     generate_data,
-    step_formula,
 )
 
 __version__ = "0.1.0"
@@ -91,7 +88,6 @@ __all__ = [
     "RunRecord",
     "SolverState",
     "TerminationRule",
-    "admm_step",
     "contradiction_demo",
     "drs_step",
     "solve",
@@ -105,7 +101,6 @@ __all__ = [
     "gamma_general",
     "gamma_zero_init",
     "optimal_pair",
-    "structure_init",
     "KINDS",
     "PROFILES",
     "OracleSolution",
@@ -113,6 +108,5 @@ __all__ = [
     "compute_oracle",
     "generate",
     "generate_data",
-    "step_formula",
     "__version__",
 ]

@@ -10,7 +10,9 @@ generate       write a problem instance as JSON
 Every option can also come from an INI config file (``--config``); explicit
 flags win over the file, which wins over built-in defaults.  Options shared
 by all subcommands may live in a ``[common]`` section, subcommand-specific
-ones in ``[run]``, ``[grid]``, ``[contradiction]``, or ``[generate]``::
+ones in ``[run]``, ``[grid]``, ``[contradiction]``, or ``[generate]``.  A
+key is an option's long flag without ``--`` (``plans`` for ``--plan``); a key
+that no option of its section takes is a configuration error::
 
     [common]
     kind = lasso
@@ -40,7 +42,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,7 +120,12 @@ class _Options:
         return default
 
 
-def _load_config(path):
+def _load_config(path, keys):
+    """Read an INI file whose sections and keys must all be in ``keys``.
+
+    ``keys`` maps each subcommand to the config keys its options take; a
+    ``[common]`` (or ``[DEFAULT]``) key is valid if any subcommand takes it.
+    """
     if path is None:
         return None
     if not os.path.isfile(path):
@@ -129,10 +135,18 @@ def _load_config(path):
         cfg.read(path)
     except configparser.Error as err:
         raise ConfigError(f"{path}: {err}") from None
-    known = {"common", "run", "grid", "contradiction", "generate"}
-    for section in cfg.sections():
-        if section not in known:
+    common = set().union(*keys.values())
+    keys = {**keys, "common": common, cfg.default_section: common}
+    defaults = set(cfg.defaults())
+    for section in [cfg.default_section] + cfg.sections():
+        if section not in keys:
             raise ConfigError(f"{path}: unknown section [{section}]")
+        # every section also lists the [DEFAULT] keys, checked on their own
+        names = defaults if section == cfg.default_section else set(cfg.options(section)) - defaults
+        unknown = sorted(names - keys[section])
+        if unknown:
+            raise ConfigError(f"{path}: [{section}] unknown key {unknown[0]!r}; "
+                              f"known keys: {', '.join(sorted(keys[section]))}")
     return cfg
 
 
@@ -213,12 +227,12 @@ def _realize_plan(token, instance, init_vec, opts):
     )
 
 
-def _resolve_init(opts, kind, instance):
+def _resolve_init(opts, instance):
     mode = opts.get("init", str, "zero")
     if mode == "zero":
         return None, mode
     if mode == "structure":
-        return tuner.structure_init(kind, instance.structure_data), mode
+        return instance.structure_start(), mode
     raise ConfigError(f"unknown init {mode!r}; use 'zero' or 'structure'")
 
 
@@ -238,7 +252,7 @@ def _cmd_run(args, config, config_path):
         raise ConfigError(str(err)) from None
 
     instance = problems.generate(kind, profile=profile, seed=seed)
-    init_vec, init_mode = _resolve_init(opts, kind, instance)
+    init_vec, init_mode = _resolve_init(opts, instance)
     os.makedirs(out, exist_ok=True)
     tag = _instance_tag(kind, profile, seed)
 
@@ -302,7 +316,6 @@ def _cmd_grid(args, config, config_path):
     tol = opts.get("tol", float, 1e-4)
     max_iter = opts.get("max-iter", int, 10_000)
     theta = opts.get("theta", float, 0.5)
-    jobs = opts.get("jobs", int, 1)
     strict = opts.get("strict", _parse_bool, False)
     if points < 1:
         raise ConfigError(f"points must be at least 1, got {points}")
@@ -310,8 +323,6 @@ def _cmd_grid(args, config, config_path):
         raise ConfigError(f"gamma-min and gamma-max must be finite, got {gamma_min} and {gamma_max}")
     if not 0.0 < gamma_min <= gamma_max:
         raise ConfigError(f"need 0 < gamma-min <= gamma-max, got {gamma_min} and {gamma_max}")
-    if jobs < 1:
-        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     try:
         rule = TerminationRule(tol=tol, max_iter=max_iter, theta=theta)
     except ValueError as err:
@@ -319,15 +330,8 @@ def _cmd_grid(args, config, config_path):
 
     instance = problems.generate(kind, profile=profile, seed=seed)
     gammas = [float(g) for g in np.geomspace(gamma_min, gamma_max, points)]
-
-    def run_one(gamma):
-        return solve(instance.spec, tuner.StepSizePlan.fixed(gamma), init=None, rule=rule)
-
-    if jobs == 1:
-        records = [run_one(g) for g in gammas]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(run_one, gammas))
+    records = [solve(instance.spec, tuner.StepSizePlan.fixed(g), init=None, rule=rule)
+               for g in gammas]
 
     iterations = [rec.iterations_to_tol for rec in records]
     converged = [rec.converged for rec in records]
@@ -463,7 +467,6 @@ def _build_parser():
     p_grid.add_argument("--tol", type=float, help="residue tolerance (default 1e-4)")
     p_grid.add_argument("--max-iter", type=int, help="sweep limit (default 10000)")
     p_grid.add_argument("--theta", type=float, help="averaging weight (default 0.5)")
-    p_grid.add_argument("--jobs", type=int, help="worker threads (default 1)")
     p_grid.add_argument("--strict", action="store_const", const=True,
                         help="exit 3 unless every grid point converges")
 
@@ -474,7 +477,11 @@ def _build_parser():
     p_gen = sub.add_parser("generate", help="write a problem instance as JSON")
     _add_common(p_gen)
 
-    return parser
+    # the config key _Options.get reads for an option: its dest with '-' for '_'
+    keys = {name: {action.dest.replace("_", "-") for action in p._actions
+                   if action.dest not in ("help", "config")}
+            for name, p in sub.choices.items()}
+    return parser, keys
 
 
 _COMMANDS = {
@@ -486,13 +493,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, keys = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = _load_config(args.config)
+        config = _load_config(args.config, keys)
         return _COMMANDS[args.command](args, config, args.config)
     except ConfigError as err:
         print(f"{_PROG}: {err}", file=sys.stderr)

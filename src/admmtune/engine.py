@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import svdvals
@@ -33,7 +33,6 @@ __all__ = [
     "TerminationRule",
     "RunRecord",
     "ContradictionReport",
-    "admm_step",
     "drs_step",
     "solve",
     "contradiction_demo",
@@ -135,16 +134,11 @@ class ProblemSpec:
 
 @dataclass
 class SolverState:
-    """Mutable iterate bundle advanced by ``admm_step``.
+    """The iterates ``estimate_step`` reads after a completed sweep.
 
-    ``lam`` is the dual multiplier.  ``ax`` caches ``A @ x`` for the current
-    x.  ``zeta_unscaled`` is ``sqrt(gamma) A x^{k+1} + lam^k / sqrt(gamma)``,
-    the vector whose successive distances form ``residue_history``; it pairs
-    the newest primal point with the multiplier from before the dual step,
-    and is refreshed by every call to ``admm_step``.  ``zeta_gamma`` records
-    the step size that produced it so residues are only chained across steps
-    taken at one and the same gamma.  ``solve`` keeps one per estimated run,
-    refreshed in place each sweep, to pass the iterates to ``estimate_step``.
+    ``lam`` is the dual multiplier and ``ax`` caches ``A @ x`` for the
+    current x.  ``solve`` keeps one per estimated run, refreshed in place
+    each sweep, to pass the iterates to ``estimate_step``.
     """
 
     x: np.ndarray
@@ -153,9 +147,6 @@ class SolverState:
     gamma: float
     k: int = 0
     ax: np.ndarray = None
-    zeta_unscaled: np.ndarray = None
-    zeta_gamma: float = None
-    residue_history: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -215,34 +206,6 @@ class RunRecord:
         return None
 
 
-def admm_step(state: SolverState, spec: ProblemSpec) -> SolverState:
-    """Advance the alternating scheme by one sweep, in place.
-
-    Performs the x step, the z step, and the dual update at ``state.gamma``,
-    increments ``state.k``, refreshes ``state.zeta_unscaled``, and appends
-    the distance to the previous unscaled vector to ``state.residue_history``
-    (only when the previous vector was formed at the same gamma).
-    """
-    g = float(state.gamma)
-    if not g > 0.0:
-        raise ValueError(f"state.gamma must be positive, got {g}")
-    lam = state.lam
-    x = spec.prox_f(spec.c - spec.apply_B(state.z) - lam / g, g)
-    ax = spec.apply_A(x)
-    rg = math.sqrt(g)
-    zeta = rg * ax + lam / rg
-    z = spec.prox_g(spec.c - ax - lam / g, g)
-    lam_new = lam + g * (ax + spec.apply_B(z) - spec.c)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z)) and np.all(np.isfinite(lam_new))):
-        raise ArithmeticError(f"non-finite iterate at sweep {state.k + 1}")
-    if state.zeta_unscaled is not None and state.zeta_gamma == g:
-        state.residue_history.append(float(np.linalg.norm(zeta - state.zeta_unscaled)))
-    state.x, state.z, state.lam, state.ax = x, z, lam_new, ax
-    state.zeta_unscaled, state.zeta_gamma = zeta, g
-    state.k += 1
-    return state
-
-
 def _drs_sweep(sigma, spec, gamma, theta):
     """One averaged fixed-point sweep on the scaled vector sigma."""
     z = spec.prox_g(spec.c - sigma, gamma)
@@ -257,7 +220,7 @@ def drs_step(zeta, spec: ProblemSpec, gamma: float, theta: float = 0.5):
     """One sweep of the averaged splitting map on the scaled vector ``zeta``.
 
     At ``theta = 0.5`` this is exactly the map whose iterates the alternating
-    scheme of ``admm_step`` traces through ``zeta^k = A x^{k+1} + lam^k / gamma``.
+    x, z and multiplier steps trace through ``zeta^k = A x^{k+1} + lam^k / gamma``.
     A non-finite ``zeta`` raises ValueError.
     """
     if not gamma > 0.0:
@@ -271,10 +234,8 @@ def drs_step(zeta, spec: ProblemSpec, gamma: float, theta: float = 0.5):
     return _drs_sweep(zeta, spec, gamma, theta)[0]
 
 
-def _resolve_initial_gamma(plan, spec):
-    if plan.mode == _tuner.FIXED:
-        return plan.gamma0
-    if plan.mode == _tuner.ESTIMATED:
+def _resolve_initial_gamma(plan):
+    if plan.mode in (_tuner.FIXED, _tuner.ESTIMATED):
         return plan.gamma0
     if plan.mode == _tuner.ORACLE:
         return _tuner.gamma_general(plan.ax_star, plan.lambda_star, plan.zeta0)
@@ -313,7 +274,7 @@ def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
     if rule is None:
         rule = TerminationRule()
     t0 = time.perf_counter()
-    gamma = float(_resolve_initial_gamma(plan, spec))
+    gamma = float(_resolve_initial_gamma(plan))
     if not gamma > 0.0:
         raise ValueError(f"initial gamma must be positive, got {gamma}")
     theta = rule.theta

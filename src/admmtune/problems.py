@@ -43,7 +43,6 @@ __all__ = [
     "generate",
     "generate_data",
     "compute_oracle",
-    "step_formula",
 ]
 
 KINDS = ("lp", "qp", "lad", "huber", "bp", "lasso", "tv", "sics")
@@ -95,14 +94,14 @@ class ProblemInstance:
     data: dict = field(repr=False)
     oracle: OracleSolution = field(default=None, repr=False)
 
-    @property
-    def structure_data(self) -> dict:
-        """Inputs for :func:`admmtune.tuner.structure_init`."""
-        if self.kind == "lp":
-            return {"A": self.data["A"], "b": self.data["b"]}
-        if self.kind == "qp":
-            return {"lower": self.data["lower"], "upper": self.data["upper"]}
-        return {"dim": self.spec.p}
+    def structure_start(self) -> np.ndarray:
+        """Start vector built from the family's structure instead of zero.
+
+        lp starts at the minimum-norm feasible point of ``A x = b``, qp at the
+        box midpoint, and every other family at the zero vector.  The vector
+        has the constraint-block length ``spec.p``.
+        """
+        return _FAMILIES[self.kind][2](self.data, self.spec)
 
     def to_dict(self) -> dict:
         """JSON-ready description: scalars as-is, arrays as nested lists."""
@@ -152,6 +151,11 @@ def _spec_lp(dims, data, params):
     return ProblemSpec(prox_f, prox_g, objective, n=n, p=n)
 
 
+def _start_lp(data, spec):
+    A = data["A"]
+    return A.T @ np.linalg.solve(A @ A.T, data["b"])
+
+
 def _draw_qp(rng, dims, params):
     n = dims["n"]
     M = rng.uniform(0.0, 1.0, (n, n))
@@ -185,6 +189,10 @@ def _spec_qp(dims, data, params):
         return float(0.5 * x @ (P @ x) + q @ x + r)
 
     return ProblemSpec(prox_f, prox_g, objective, n=n, p=n)
+
+
+def _start_qp(data, spec):
+    return 0.5 * (data["lower"] + data["upper"])
 
 
 def _draw_lad(rng, dims, params):
@@ -407,16 +415,21 @@ def _spec_sics(dims, data, params):
     return ProblemSpec(prox_f, prox_g, objective, n=n * n, p=n * n)
 
 
-# per family: the data draw, then the spec build that reads only its output
+def _zero_start(data, spec):
+    return np.zeros(spec.p)
+
+
+# per family: the data draw, the spec build that reads only its output, and
+# the structure start
 _FAMILIES = {
-    "lp": (_draw_lp, _spec_lp),
-    "qp": (_draw_qp, _spec_qp),
-    "lad": (_draw_lad, _spec_lad),
-    "huber": (_draw_huber, _spec_huber),
-    "bp": (_draw_bp, _spec_bp),
-    "lasso": (_draw_lasso, _spec_lasso),
-    "tv": (_draw_tv, _spec_tv),
-    "sics": (_draw_sics, _spec_sics),
+    "lp": (_draw_lp, _spec_lp, _start_lp),
+    "qp": (_draw_qp, _spec_qp, _start_qp),
+    "lad": (_draw_lad, _spec_lad, _zero_start),
+    "huber": (_draw_huber, _spec_huber, _zero_start),
+    "bp": (_draw_bp, _spec_bp, _zero_start),
+    "lasso": (_draw_lasso, _spec_lasso, _zero_start),
+    "tv": (_draw_tv, _spec_tv, _zero_start),
+    "sics": (_draw_sics, _spec_sics, _zero_start),
 }
 
 
@@ -504,28 +517,3 @@ def compute_oracle(instance: ProblemInstance, tol: float = 1e-10,
                             residue=rec.rows[-1][2], iterations=rec.iterations)
     instance.oracle = oracle
     return oracle
-
-
-def step_formula(kind: str, state) -> float:
-    """Family-specific norm-ratio step-size estimate.
-
-    Equals the generic zero-start estimate ``||lam|| / ||A x||`` written in
-    each family's own quantities: the plain iterate norm where the constraint
-    couples x to z directly, the regression image ``A x`` for lad and huber,
-    the difference image for tv, and the Frobenius norm for sics.
-
-    Returns None (caller keeps the previous step size) when the denominator
-    is degenerate, for example a constant iterate under the difference map.
-    """
-    if kind not in KINDS:
-        raise ValueError(f"unknown problem kind {kind!r}")
-    lam_nrm = float(np.linalg.norm(state.lam))
-    if kind in ("lp", "qp", "bp", "lasso", "sics"):
-        den = float(np.linalg.norm(state.x))
-    else:
-        if state.ax is None:
-            raise ValueError(f"state.ax is required for kind {kind}")
-        den = float(np.linalg.norm(state.ax))
-    if den < 1e-12:
-        return None
-    return lam_nrm / den

@@ -50,6 +50,9 @@ CLASSICAL = "classical"
 NEW = "new"
 
 _RANK_TOL = 1e-10
+# smallest accepted eigenvalue of a shifted system: a subnormal pivot
+# overflows the division it feeds
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -169,7 +172,8 @@ def _shifted_solver(G):
     ``G`` is eigendecomposed once, ``G = U diag(s) U^T``, so a solve at any
     ``(a, b)`` costs two matrix-vector products and builds no factorization.
     The eigenpairs are read-only, so ``solve`` may be shared across threads.
-    ``solve`` raises ValueError when ``a*I + b*G`` is not positive definite.
+    ``solve`` raises ValueError when an eigenvalue of ``a*I + b*G`` is not
+    above the smallest normal float.
     """
     s, U = eigh(G)
     s.setflags(write=False)
@@ -178,8 +182,9 @@ def _shifted_solver(G):
     def solve(a, b, r):
         # s is sorted ascending, so a + b*s is smallest at one of its ends;
         # an empty s (a point constraint leaves a 0x0 reduced Hessian) passes
-        if s.size and not (a + b * s[0] > 0.0 and a + b * s[-1] > 0.0):
-            raise ValueError(f"a*I + b*G is not positive definite at a={a}, b={b}")
+        if s.size and not (a + b * s[0] > _TINY and a + b * s[-1] > _TINY):
+            raise ValueError(
+                f"a*I + b*G is not positive definite above the smallest normal float at a={a}, b={b}")
         return U @ ((U.T @ r) / (a + b * s))
 
     return solve
@@ -195,8 +200,8 @@ def _wide_gram_solver(A, d):
     ``A x = U t``, the residual of a data vector ``d`` has the norm of
     ``t - U^T d``; the second return value is ``U^T d`` for the ``d`` given
     here.  ``W`` and ``s`` are read-only, so ``solve`` may be shared across
-    threads.  ``solve`` raises ValueError unless ``a > 0`` and
-    ``a*I + b*A^T A`` is positive definite.
+    threads.  ``solve`` raises ValueError unless ``a`` and every eigenvalue
+    of ``a*I + b*A^T A`` are above the smallest normal float.
     """
     s, U = eigh(A @ A.T)
     W = U.T @ A
@@ -206,8 +211,9 @@ def _wide_gram_solver(A, d):
 
     def solve(a, b, r):
         # s is sorted ascending, so a + b*s is smallest at one of its ends
-        if not (a > 0.0 and (not s.size or (a + b * s[0] > 0.0 and a + b * s[-1] > 0.0))):
-            raise ValueError(f"a*I + b*A^T A is not positive definite at a={a}, b={b}")
+        if not (a > _TINY and (not s.size or (a + b * s[0] > _TINY and a + b * s[-1] > _TINY))):
+            raise ValueError(
+                f"a*I + b*A^T A is not positive definite above the smallest normal float at a={a}, b={b}")
         t = (W @ r) / (a + b * s)
         return (r - b * (W.T @ t)) / a, t
 
@@ -251,7 +257,7 @@ def _soft_threshold(v, t):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
-def _make_l1(dim, weight=1.0):
+def _entry_l1(dim, weight=1.0):
     weight = float(weight)
     if weight < 0.0:
         raise ValueError(f"weight must be nonnegative, got {weight}")
@@ -260,18 +266,19 @@ def _make_l1(dim, weight=1.0):
         _require_positive(gamma)
         return _soft_threshold(v, gamma * weight)
 
-    return evaluate
+    return ProxHandle(evaluate, CLASSICAL, int(dim))
 
 
-def _make_nonneg(dim):
+def _entry_nonneg(dim):
     def evaluate(v, gamma):
         _require_positive(gamma)
         return np.maximum(v, 0.0)
 
-    return evaluate
+    return ProxHandle(evaluate, CLASSICAL, int(dim))
 
 
-def _make_box(dim, lower, upper):
+def _entry_box(dim, lower, upper):
+    dim = int(dim)
     lo = np.broadcast_to(np.asarray(lower, dtype=float), (dim,)).copy()
     hi = np.broadcast_to(np.asarray(upper, dtype=float), (dim,)).copy()
     if np.any(lo > hi):
@@ -281,10 +288,10 @@ def _make_box(dim, lower, upper):
         _require_positive(gamma)
         return np.clip(v, lo, hi)
 
-    return evaluate
+    return ProxHandle(evaluate, CLASSICAL, dim)
 
 
-def _make_affine_set(A, b):
+def _entry_affine_set(A, b):
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
     if A.ndim != 2 or A.shape[0] != b.size:
@@ -296,10 +303,10 @@ def _make_affine_set(A, b):
         _require_positive(gamma)
         return v - A.T @ gram_solve(A @ v - b)
 
-    return evaluate, A.shape[1]
+    return ProxHandle(evaluate, CLASSICAL, A.shape[1])
 
 
-def _make_quad_affine(P, q=None, A=None, b=None):
+def _entry_quad_affine(P, q=None, A=None, b=None):
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError(f"P must be square, got shape {P.shape}")
@@ -319,7 +326,7 @@ def _make_quad_affine(P, q=None, A=None, b=None):
             _require_positive(gamma)
             return solve(1.0, gamma, v - gamma * q)
 
-        return evaluate, n
+        return ProxHandle(evaluate, CLASSICAL, n)
 
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
@@ -339,10 +346,10 @@ def _make_quad_affine(P, q=None, A=None, b=None):
         _require_positive(gamma)
         return x0 + N @ solve(1.0, gamma, N.T @ (v - gamma * c))
 
-    return evaluate, n
+    return ProxHandle(evaluate, CLASSICAL, n)
 
 
-def _make_lstsq(A, b):
+def _entry_lstsq(A, b):
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
     if A.ndim != 2 or A.shape[0] != b.size:
@@ -363,10 +370,10 @@ def _make_lstsq(A, b):
             _require_positive(gamma)
             return solve(1.0, gamma, v + gamma * atb)[0]
 
-    return evaluate, n
+    return ProxHandle(evaluate, CLASSICAL, n)
 
 
-def _make_huber(dim, delta=1.0, weight=1.0):
+def _entry_huber(dim, delta=1.0, weight=1.0):
     delta = float(delta)
     weight = float(weight)
     if delta <= 0.0:
@@ -381,7 +388,7 @@ def _make_huber(dim, delta=1.0, weight=1.0):
         lin = v - t * delta * np.sign(v)
         return np.where(np.abs(v) <= delta * (1.0 + t), quad, lin)
 
-    return evaluate
+    return ProxHandle(evaluate, CLASSICAL, int(dim))
 
 
 def _difference_apply(x):
@@ -405,7 +412,7 @@ def _tridiag_banded(n, gamma):
     return ab
 
 
-def _make_tv_quad(n, target=None):
+def _entry_tv_quad(n, target=None):
     n = int(n)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -421,10 +428,10 @@ def _make_tv_quad(n, target=None):
         _require_positive(gamma)
         return solveh_banded(_tridiag_banded(n, gamma), v + gamma * shift)
 
-    return evaluate
+    return ProxHandle(evaluate, CLASSICAL, n)
 
 
-def _make_logdet_quad(n, S=None):
+def _entry_logdet_quad(n, S=None):
     n = int(n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -446,7 +453,7 @@ def _make_logdet_quad(n, S=None):
         X = (Q * xi) @ Q.T
         return (0.5 * (X + X.T)).ravel()
 
-    return evaluate, n * n
+    return ProxHandle(evaluate, CLASSICAL, n * n)
 
 
 def catalog_prox(kind: str, **params) -> ProxHandle:
@@ -492,46 +499,6 @@ def catalog_prox(kind: str, **params) -> ProxHandle:
     except KeyError:
         raise ValueError(f"unknown prox kind {kind!r}; known kinds: {sorted(_CATALOG)}") from None
     return builder(**params)
-
-
-def _entry_l1(dim, weight=1.0):
-    return ProxHandle(_make_l1(dim, weight), CLASSICAL, int(dim))
-
-
-def _entry_nonneg(dim):
-    return ProxHandle(_make_nonneg(dim), CLASSICAL, int(dim))
-
-
-def _entry_box(dim, lower, upper):
-    return ProxHandle(_make_box(int(dim), lower, upper), CLASSICAL, int(dim))
-
-
-def _entry_affine_set(A, b):
-    evaluate, dim = _make_affine_set(A, b)
-    return ProxHandle(evaluate, CLASSICAL, dim)
-
-
-def _entry_quad_affine(P, q=None, A=None, b=None):
-    evaluate, dim = _make_quad_affine(P, q, A, b)
-    return ProxHandle(evaluate, CLASSICAL, dim)
-
-
-def _entry_lstsq(A, b):
-    evaluate, dim = _make_lstsq(A, b)
-    return ProxHandle(evaluate, CLASSICAL, dim)
-
-
-def _entry_huber(dim, delta=1.0, weight=1.0):
-    return ProxHandle(_make_huber(int(dim), delta, weight), CLASSICAL, int(dim))
-
-
-def _entry_tv_quad(n, target=None):
-    return ProxHandle(_make_tv_quad(n, target), CLASSICAL, int(n))
-
-
-def _entry_logdet_quad(n, S=None):
-    evaluate, dim = _make_logdet_quad(n, S)
-    return ProxHandle(evaluate, CLASSICAL, dim)
 
 
 _CATALOG = {

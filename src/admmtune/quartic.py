@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,15 +55,12 @@ class QuarticCoefficients:
     ----------
     a, b, d, e : float
         Polynomial coefficients.
-    provenance : dict
-        Optional record of the inner products the coefficients came from.
     """
 
     a: float
     b: float
     d: float
     e: float
-    provenance: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("a", "b", "d", "e"):
@@ -119,7 +116,7 @@ def build_coefficients(ax_star, lambda_star, zeta0=None) -> QuarticCoefficients:
     -------
     QuarticCoefficients
         a = ||ax_star||^2, b = -<ax_star, zeta0>, d = <lambda_star, zeta0>,
-        e = -||lambda_star||^2, with the inner products kept in ``provenance``.
+        e = -||lambda_star||^2.
 
     Raises
     ------
@@ -142,28 +139,14 @@ def build_coefficients(ax_star, lambda_star, zeta0=None) -> QuarticCoefficients:
         raise DegenerateProblemError("ax_star is zero; the quartic has no positive root")
     if not lam_nrm2 > 0.0:
         raise DegenerateProblemError("lambda_star is zero; the quartic has no positive root")
-    if zeta0 is None:
-        b = 0.0
-        d = 0.0
-        z = None
-    else:
+    b = d = 0.0
+    if zeta0 is not None:
         z = np.asarray(zeta0, dtype=float).ravel()
         if z.shape != ax.shape:
             raise ValueError(f"zeta0 must have size {ax.size}, got {z.size}")
         b = -float(ax @ z)
         d = float(lam @ z)
-    return QuarticCoefficients(
-        a=ax_nrm2,
-        b=b,
-        d=d,
-        e=-lam_nrm2,
-        provenance={
-            "ax_norm_sq": ax_nrm2,
-            "lambda_norm_sq": lam_nrm2,
-            "ax_dot_zeta0": -b,
-            "lambda_dot_zeta0": d,
-        },
-    )
+    return QuarticCoefficients(a=ax_nrm2, b=b, d=d, e=-lam_nrm2)
 
 
 def _biquadratic_root(a: float, e: float) -> float:

@@ -2,7 +2,7 @@
 
 The closed-form route squares a positive root of the quartic from
 :mod:`admmtune.quartic`; the successive route re-reads that formula off the
-current iterates, which for a zero start collapses to the ratio
+current iterates for the zero start, where it collapses to the ratio
 ``||lam|| / ||A x||``.  ``optimal_pair`` inverts the question and returns a
 start vector and step size from which the solver's fixed-point iteration
 lands on its fixed point in a single sweep.
@@ -35,7 +35,6 @@ __all__ = [
     "estimate_step",
     "optimal_pair",
     "asymptotic_pair",
-    "structure_init",
 ]
 
 FIXED = "fixed"
@@ -166,8 +165,13 @@ def gamma_general(ax_star, lambda_star, zeta0=None) -> float:
     return optimal_gamma(build_coefficients(ax_star, lambda_star, zeta0))
 
 
-def estimate_step(state, plan: StepSizePlan, zeta0=None) -> float:
+def estimate_step(state, plan: StepSizePlan) -> float:
     """Next step size from the current iterates under an ESTIMATED plan.
+
+    The estimate is optimal for the zero start, ``||lam|| / ||A x||``: two
+    dot products, ``a = ||A x||^2`` and ``e = -||lam||^2``, and the
+    biquadratic root ``alpha = (-e/a)**(1/4)``; the estimate is
+    ``alpha * alpha``, the same bits ``gamma_general`` returns.
 
     Parameters
     ----------
@@ -178,13 +182,6 @@ def estimate_step(state, plan: StepSizePlan, zeta0=None) -> float:
         ``state.gamma``.
     plan : StepSizePlan
         Mode must be ESTIMATED.
-    zeta0 : ndarray or None
-        Start vector the estimate should be optimal for; None means the zero
-        start, which reduces to ``||lam|| / ||A x||``.  That case costs two
-        dot products, ``a = ||A x||^2`` and ``e = -||lam||^2``, and the
-        biquadratic root ``alpha = (-e/a)**(1/4)``; the estimate is
-        ``alpha * alpha``, the same bits ``gamma_general`` returns.  Any
-        other start builds the full quartic through ``gamma_general``.
 
     Returns
     -------
@@ -212,17 +209,14 @@ def estimate_step(state, plan: StepSizePlan, zeta0=None) -> float:
     lam2 = float(lam @ lam)
     if math.sqrt(ax2) < _DEGENERATE_NORM or math.sqrt(lam2) < _DEGENERATE_NORM:
         return current
-    if zeta0 is None:
-        # the quartic's b = d = 0 case: a = ||A x||^2 and e = -||lam||^2 are
-        # its whole input, checked as QuarticCoefficients checks them
-        if not math.isfinite(ax2):
-            raise ValueError(f"coefficient a must be finite, got {ax2!r}")
-        if not math.isfinite(lam2):
-            raise ValueError(f"coefficient e must be finite, got {-lam2!r}")
-        alpha = _biquadratic_root(ax2, -lam2)
-        new = alpha * alpha
-    else:
-        new = gamma_general(ax, lam, zeta0)
+    # the quartic's b = d = 0 case: a = ||A x||^2 and e = -||lam||^2 are
+    # its whole input, checked as QuarticCoefficients checks them
+    if not math.isfinite(ax2):
+        raise ValueError(f"coefficient a must be finite, got {ax2!r}")
+    if not math.isfinite(lam2):
+        raise ValueError(f"coefficient e must be finite, got {-lam2!r}")
+    alpha = _biquadratic_root(ax2, -lam2)
+    new = alpha * alpha
     if plan.update_threshold > 0.0 and abs(new - current) <= plan.update_threshold * current:
         return current
     return new
@@ -271,41 +265,3 @@ def asymptotic_pair(side: str, vector, beta: float) -> OptimalPair:
     if side == "dual":
         return OptimalPair(beta=beta, zeta0=v / beta, gamma=beta * beta)
     raise ValueError(f"side must be 'primal' or 'dual', got {side!r}")
-
-
-def structure_init(kind: str, data: dict):
-    """Start vector built from problem structure instead of the zero vector.
-
-    Parameters
-    ----------
-    kind : str
-        Problem family.  "lp" uses the minimum-norm feasible point of
-        ``A x = b`` (keys "A", "b"); "qp" uses the box midpoint (keys
-        "lower", "upper"); every other recognized family starts at zero
-        (key "dim").
-    data : dict
-        Structure arrays as described above.
-
-    Returns
-    -------
-    ndarray
-        Vector of the constraint-block dimension.
-    """
-    kind = kind.lower()
-    if kind == "lp":
-        A = np.asarray(data["A"], dtype=float)
-        b = np.asarray(data["b"], dtype=float).ravel()
-        try:
-            nu = np.linalg.solve(A @ A.T, b)
-        except np.linalg.LinAlgError as err:
-            raise ValueError("A A^T is singular; no minimum-norm feasible point") from err
-        return A.T @ nu
-    if kind == "qp":
-        lo = np.asarray(data["lower"], dtype=float).ravel()
-        hi = np.asarray(data["upper"], dtype=float).ravel()
-        if lo.shape != hi.shape:
-            raise ValueError("lower and upper must have one common length")
-        return 0.5 * (lo + hi)
-    if kind in ("lad", "huber", "bp", "lasso", "tv", "sics"):
-        return np.zeros(int(data["dim"]))
-    raise ValueError(f"unknown problem kind {kind!r}")

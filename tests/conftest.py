@@ -1,4 +1,8 @@
-"""Shared fixtures: cached desk instances, their oracles, and the criterion report."""
+"""Shared fixtures: cached desk instances, their oracles, the criterion report,
+and the textbook alternating recursion that ``solve`` is checked against."""
+
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -16,6 +20,58 @@ ACCEPT_SEEDS = {
     "tv": 8,
     "sics": 0,
 }
+
+
+@dataclass
+class ReferenceState:
+    """Iterates of the textbook recursion.
+
+    ``zeta_unscaled`` is ``sqrt(gamma) A x^{k+1} + lam^k / sqrt(gamma)``, the
+    vector whose successive distances form ``residue_history``; it pairs the
+    newest primal point with the multiplier from before the dual step.
+    ``zeta_gamma`` records the step size that produced it so residues are
+    only chained across steps taken at one and the same gamma.
+    """
+
+    x: np.ndarray
+    z: np.ndarray
+    lam: np.ndarray
+    gamma: float
+    k: int = 0
+    ax: np.ndarray = None
+    zeta_unscaled: np.ndarray = None
+    zeta_gamma: float = None
+    residue_history: list = field(default_factory=list)
+
+
+def reference_step(state, spec):
+    """Advance the textbook x, z, multiplier recursion by one sweep, in place.
+
+    This is the alternating scheme of Boyd et al. (2011): the x step, the
+    z step, and the dual update at ``state.gamma``.  It increments
+    ``state.k``, refreshes ``state.zeta_unscaled``, and appends the distance
+    to the previous unscaled vector to ``state.residue_history`` (only when
+    the previous vector was formed at the same gamma).
+    """
+    g = float(state.gamma)
+    if not g > 0.0:
+        raise ValueError(f"state.gamma must be positive, got {g}")
+    lam = state.lam
+    x = spec.prox_f(spec.c - spec.apply_B(state.z) - lam / g, g)
+    ax = spec.apply_A(x)
+    rg = math.sqrt(g)
+    zeta = rg * ax + lam / rg
+    z = spec.prox_g(spec.c - ax - lam / g, g)
+    lam_new = lam + g * (ax + spec.apply_B(z) - spec.c)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z)) and np.all(np.isfinite(lam_new))):
+        raise ArithmeticError(f"non-finite iterate at sweep {state.k + 1}")
+    if state.zeta_unscaled is not None and state.zeta_gamma == g:
+        state.residue_history.append(float(np.linalg.norm(zeta - state.zeta_unscaled)))
+    state.x, state.z, state.lam, state.ax = x, z, lam_new, ax
+    state.zeta_unscaled, state.zeta_gamma = zeta, g
+    state.k += 1
+    return state
+
 
 _instances = {}
 _criterion_lines = []

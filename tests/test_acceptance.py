@@ -11,6 +11,7 @@ import numpy as np
 
 import admmtune as at
 
+from conftest import ReferenceState, reference_step
 from test_prox import build_catalog_handles
 
 BETAS = (0.5, 1.0, 2.0, 10.0)
@@ -240,11 +241,11 @@ def test_single_step_matching_contradiction(desk, oracle, record_criterion):
 def test_sweeps_match_halved_averaging(desk, record_criterion):
     spec = desk("lasso").spec
     gamma = 1.0
-    state = at.SolverState(x=np.zeros(spec.n), z=np.zeros(spec.m),
+    state = ReferenceState(x=np.zeros(spec.n), z=np.zeros(spec.m),
                            lam=np.zeros(spec.p), gamma=gamma)
     sigmas = []
     for _ in range(50):
-        at.admm_step(state, spec)
+        reference_step(state, spec)
         sigmas.append(state.zeta_unscaled / np.sqrt(gamma))
     sigma = sigmas[0].copy()
     worst = 0.0
@@ -265,7 +266,7 @@ def test_structured_start_trend_reproduction(desk, oracle, record_criterion):
         inst, o = desk(kind), oracle(kind)
         base = at.solve(inst.spec, at.StepSizePlan.oracle(o.ax, o.lam),
                         init=None, rule=rule)
-        guess = at.structure_init(kind, inst.structure_data)
+        guess = inst.structure_start()
         warm = at.solve(inst.spec, at.StepSizePlan.oracle(o.ax, o.lam, zeta0=guess),
                         init=None, rule=rule)
         counts[kind] = (base.iterations_to_tol, warm.iterations_to_tol)

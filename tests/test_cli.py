@@ -134,6 +134,35 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert "tol" in capsys.readouterr().err
 
 
+def test_config_unknown_keys_exit_two(tmp_path, capsys):
+    out = tmp_path / "never"
+    typo = tmp_path / "typo.ini"
+    typo.write_text(f"[common]\nkind = qp\nout = {out}\n[run]\nplans = fixed:1\ntolerance = 1e-300\n")
+    assert run_cli(["run", "--config", str(typo)]) == 2
+    err = capsys.readouterr().err
+    assert str(typo) in err and "[run]" in err and "'tolerance'" in err
+    assert not out.exists()
+
+    stale = tmp_path / "stale.ini"
+    stale.write_text(f"[common]\nkind = qp\nout = {out}\n[grid]\npoints = 2\njobs = 4\n")
+    assert run_cli(["grid", "--config", str(stale)]) == 2
+    err = capsys.readouterr().err
+    assert str(stale) in err and "[grid]" in err and "'jobs'" in err
+    assert run_cli(["grid", "--kind", "qp", "--points", "2", "--jobs", "2", "--out", str(out)]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+    # a [common] key is valid when any subcommand takes it, and a key of one
+    # subcommand is not valid in another's section
+    shared = tmp_path / "shared.ini"
+    shared.write_text(f"[common]\nkind = qp\nout = {out}\npoints = 2\n[run]\nplans = fixed:1\n")
+    assert run_cli(["run", "--config", str(shared)]) == 0
+    misplaced = tmp_path / "misplaced.ini"
+    misplaced.write_text("[run]\nkind = qp\nplans = fixed:1\npoints = 2\n")
+    assert run_cli(["run", "--config", str(misplaced), "--out", str(out)]) == 2
+    assert "'points'" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     out = str(tmp_path)
     assert run_cli(["run", "--plan", "fixed:1", "--out", out]) == 2
@@ -190,17 +219,6 @@ def test_grid_outputs(tmp_path):
     assert payload["best_iterations"] == best_iters
     assert payload["converged_points"] == sum(row[2] == "true" for row in rows)
     assert isinstance(payload["boundary_hit"], bool)
-
-
-def test_grid_jobs_do_not_change_bytes(tmp_path):
-    blobs = []
-    for jobs in ("1", "3"):
-        out = tmp_path / f"jobs{jobs}"
-        assert run_cli(["grid", "--kind", "qp", "--gamma-min", "0.1",
-                        "--gamma-max", "2", "--points", "5", "--tol", "1e-4",
-                        "--jobs", jobs, "--out", str(out)]) == 0
-        blobs.append((out / "qp_desk_seed0_grid.csv").read_bytes())
-    assert blobs[0] == blobs[1]
 
 
 def test_grid_validation(tmp_path, capsys):

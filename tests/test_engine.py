@@ -5,15 +5,14 @@ import admmtune as at
 from admmtune import (
     ProblemSpec,
     RunRecord,
-    SolverState,
     StepSizePlan,
     TerminationRule,
-    admm_step,
     catalog_prox,
     contradiction_demo,
     drs_step,
     solve,
 )
+from conftest import ReferenceState, reference_step
 
 
 def small_spec(seed=0, n=6):
@@ -59,15 +58,15 @@ def test_rank_check_toggle():
 
 
 def test_sweep_matches_reference_recursion():
-    # drive admm_step and an inline textbook recursion side by side
+    # drive the reference stepper and an inline textbook recursion side by side
     spec = small_spec(seed=3)
     g = 0.9
-    state = SolverState(x=np.zeros(6), z=np.zeros(6), lam=np.zeros(6), gamma=g)
+    state = ReferenceState(x=np.zeros(6), z=np.zeros(6), lam=np.zeros(6), gamma=g)
     x = np.zeros(6)
     z = np.zeros(6)
     lam = np.zeros(6)
     for _ in range(30):
-        admm_step(state, spec)
+        reference_step(state, spec)
         x = spec.prox_f(spec.c - spec.apply_B(z) - lam / g, g)
         z = spec.prox_g(spec.c - spec.apply_A(x) - lam / g, g)
         lam = lam + g * (spec.apply_A(x) + spec.apply_B(z) - spec.c)
@@ -77,42 +76,16 @@ def test_sweep_matches_reference_recursion():
     assert state.k == 30
 
 
-def test_state_bookkeeping():
-    spec = small_spec(seed=4)
-    g = 2.0
-    state = SolverState(x=np.zeros(6), z=np.zeros(6), lam=np.zeros(6), gamma=g)
-    admm_step(state, spec)
-    want = np.sqrt(g) * spec.apply_A(state.x)  # lam was zero before the dual step
-    assert np.allclose(state.zeta_unscaled, want, atol=1e-12)
-    assert state.zeta_gamma == g
-    assert state.residue_history == []  # no previous vector at the same gamma
-    admm_step(state, spec)
-    assert len(state.residue_history) == 1
-    state.gamma = 1.0
-    admm_step(state, spec)
-    assert len(state.residue_history) == 1  # crossing a gamma change is not chained
-    admm_step(state, spec)
-    assert len(state.residue_history) == 2
-
-
-def test_invalid_gamma_rejected():
-    spec = small_spec()
-    state = SolverState(x=np.zeros(6), z=np.zeros(6), lam=np.zeros(6), gamma=0.0)
-    with pytest.raises(ValueError):
-        admm_step(state, spec)
-
-
 def test_divergent_iterates_raise():
     spec = ProblemSpec(
         prox_f=lambda w, g: w * 1e200,
         prox_g=lambda w, g: -w,
         p=2,
     )
-    state = SolverState(x=np.zeros(2), z=np.ones(2), lam=np.zeros(2), gamma=1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ArithmeticError):
-            for _ in range(5):
-                admm_step(state, spec)
+            solve(spec, StepSizePlan.fixed(1.0), init=(np.zeros(2), np.ones(2), np.zeros(2)),
+                  rule=TerminationRule(max_iter=5))
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
@@ -162,10 +135,10 @@ def test_non_finite_start_is_rejected(desk, kind):
 def test_halved_averaging_reproduces_sweeps():
     spec = small_spec(seed=5)
     g = 1.7
-    state = SolverState(x=np.zeros(6), z=np.zeros(6), lam=np.zeros(6), gamma=g)
+    state = ReferenceState(x=np.zeros(6), z=np.zeros(6), lam=np.zeros(6), gamma=g)
     sigmas = []
     for _ in range(25):
-        admm_step(state, spec)
+        reference_step(state, spec)
         sigmas.append(state.zeta_unscaled / np.sqrt(g))
     sig = sigmas[0].copy()
     for j in range(1, 25):
@@ -217,9 +190,9 @@ def test_solve_residues_match_stepper():
     spec = small_spec(seed=7)
     rule = TerminationRule(tol=1e-300, max_iter=40)
     rec = solve(spec, StepSizePlan.fixed(0.8), rule=rule)
-    state = SolverState(x=np.zeros(6), z=np.zeros(6), lam=np.zeros(6), gamma=0.8)
+    state = ReferenceState(x=np.zeros(6), z=np.zeros(6), lam=np.zeros(6), gamma=0.8)
     for _ in range(40):
-        admm_step(state, spec)
+        reference_step(state, spec)
     assert np.allclose(rec.x, state.x, atol=1e-10)
     assert np.allclose(rec.lam, state.lam, atol=1e-10)
     # the stepper has no start-of-run baseline, so its chained distances begin

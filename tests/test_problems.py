@@ -8,13 +8,10 @@ import admmtune as at
 from admmtune import (
     KINDS,
     PROFILES,
-    SolverState,
     StepSizePlan,
     TerminationRule,
     compute_oracle,
-    gamma_zero_init,
     generate,
-    step_formula,
 )
 
 from conftest import ACCEPT_SEEDS
@@ -190,42 +187,6 @@ def test_oracle_is_cached_and_refreshable(desk):
     assert again is not first
     assert np.allclose(again.x, first.x, atol=1e-9)
     assert first.residue <= 1e-10 and first.iterations >= 1
-
-
-def test_norm_ratio_formula_matches_general_rule():
-    rng = np.random.default_rng(7)
-    for kind in KINDS:
-        for _ in range(25):
-            n = int(rng.integers(3, 20))
-            x = rng.normal(size=n)
-            ax = rng.normal(size=n)
-            lam = rng.normal(size=n)
-            state = SolverState(x=x, z=np.zeros(n), lam=lam, gamma=1.0, k=2, ax=ax)
-            got = step_formula(kind, state)
-            basis = ax if kind in ("lad", "huber", "tv") else x
-            assert got == pytest.approx(gamma_zero_init(basis, lam), rel=1e-12), kind
-
-
-def test_norm_ratio_formula_degenerate_returns_none():
-    state = SolverState(x=np.ones(4), z=np.zeros(4), lam=np.ones(4), gamma=1.0, k=2,
-                        ax=np.zeros(4))
-    assert step_formula("tv", state) is None
-    state2 = SolverState(x=np.zeros(4), z=np.zeros(4), lam=np.ones(4), gamma=1.0, k=2)
-    assert step_formula("lp", state2) is None
-
-
-def test_norm_ratio_formula_needs_constraint_image():
-    state = SolverState(x=np.ones(4), z=np.zeros(4), lam=np.ones(4), gamma=1.0, k=2)
-    with pytest.raises(ValueError):
-        step_formula("lad", state)
-    with pytest.raises(ValueError):
-        step_formula("unknown", state)
-
-
-def test_structure_data_keys():
-    assert set(generate("lp", profile="desk").structure_data) == {"A", "b"}
-    assert set(generate("qp", profile="desk").structure_data) == {"lower", "upper"}
-    assert generate("bp", profile="desk").structure_data == {"dim": generate("bp", profile="desk").spec.p}
 
 
 def test_paper_profile_dimensions_differ():

@@ -282,11 +282,27 @@ def test_shifted_solver_rejects_exactly_the_indefinite_shifts(system):
     G, a, b = system
     s = np.linalg.eigh(G)[0]
     solve = prox_mod._shifted_solver(G)
-    if np.any(a + b * s <= 0.0):
+    if np.any(a + b * s <= np.finfo(float).tiny):
         with pytest.raises(ValueError):
             solve(a, b, np.ones(G.shape[0]))
     else:
-        solve(a, b, np.ones(G.shape[0]))
+        assert np.all(np.isfinite(solve(a, b, np.ones(G.shape[0]))))
+
+
+def test_shifted_solvers_reject_subnormal_shifts():
+    tiny = np.finfo(float).tiny
+    solve = prox_mod._shifted_solver(np.diag([1.0, 2.0]))
+    wide, _ = prox_mod._wide_gram_solver(np.array([[1.0, 0.0, 1.0]]), np.zeros(1))
+    for a, b in ((5e-324, 0.0), (tiny, 0.0), (0.0, 1e-310)):
+        with pytest.raises(ValueError):
+            solve(a, b, np.ones(2))
+        with pytest.raises(ValueError):
+            wide(a, b, np.ones(3))
+    # the null space of a wide A leaves a itself as an eigenvalue
+    with pytest.raises(ValueError):
+        wide(5e-324, 1.0, np.ones(3))
+    assert np.all(np.isfinite(solve(2.0 * tiny, 0.0, np.ones(2))))
+    assert np.all(np.isfinite(wide(2.0 * tiny, 0.0, np.ones(3))[0]))
 
 
 def test_huber_piecewise_form():

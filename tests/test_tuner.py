@@ -16,7 +16,6 @@ from admmtune import (
     gamma_general,
     gamma_zero_init,
     optimal_pair,
-    structure_init,
 )
 
 
@@ -171,25 +170,22 @@ def test_estimated_run_moves_gamma_and_converges(desk):
     assert len(gammas) > 1
 
 
-def test_structure_guesses():
-    lp_guess = structure_init("lp", {"A": np.eye(2), "b": np.array([1.0, 2.0])})
-    assert np.allclose(lp_guess, [1.0, 2.0], atol=1e-14)
-    qp_guess = structure_init("qp", {"lower": np.zeros(2), "upper": np.array([2.0, 4.0])})
-    assert np.allclose(qp_guess, [1.0, 2.0])
+def test_structure_guesses(desk):
+    lp = desk("lp")
+    A, b = lp.data["A"], lp.data["b"]
+    assert np.array_equal(lp.structure_start(), A.T @ np.linalg.solve(A @ A.T, b))
+    qp = desk("qp")
+    assert np.array_equal(qp.structure_start(), 0.5 * (qp.data["lower"] + qp.data["upper"]))
     for kind in ("lad", "huber", "bp", "lasso", "tv", "sics"):
-        assert not structure_init(kind, {"dim": 5}).any()
-    with pytest.raises(ValueError):
-        structure_init("lp", {"A": np.array([[1.0, 0.0], [1.0, 0.0]]), "b": np.ones(2)})
-    with pytest.raises(ValueError):
-        structure_init("mystery", {"dim": 3})
+        inst = desk(kind)
+        start = inst.structure_start()
+        assert start.shape == (inst.spec.p,) and not start.any()
 
 
-def test_structure_guess_feasibility():
-    rng = np.random.default_rng(4)
-    A = rng.normal(size=(3, 8))
-    b = rng.normal(size=3)
-    guess = structure_init("lp", {"A": A, "b": b})
-    assert np.allclose(A @ guess, b, atol=1e-10)
+def test_structure_guess_feasibility(desk):
+    lp = desk("lp")
+    A, b = lp.data["A"], lp.data["b"]
+    assert np.allclose(A @ lp.structure_start(), b, atol=1e-10)
 
 
 def test_plan_rejects_non_finite_and_non_integer_settings():
@@ -245,7 +241,7 @@ def test_estimate_step_overflowing_iterates_raise():
         estimate_step(big, plan)
 
 
-def _gamma_general_estimate(state, plan, zeta0=None):
+def _gamma_general_estimate(state, plan):
     """estimate_step's rules, with every estimate taken through gamma_general."""
     current = float(state.gamma)
     if plan.freeze_after is not None and state.k >= plan.freeze_after:
@@ -253,7 +249,7 @@ def _gamma_general_estimate(state, plan, zeta0=None):
     ax = state.ax if state.ax is not None else state.x
     if np.linalg.norm(ax) < 1e-12 or np.linalg.norm(state.lam) < 1e-12:
         return current
-    new = gamma_general(ax, state.lam, zeta0)
+    new = gamma_general(ax, state.lam)
     if plan.update_threshold > 0.0 and abs(new - current) <= plan.update_threshold * current:
         return current
     return new
