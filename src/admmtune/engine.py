@@ -25,6 +25,7 @@ import numpy as np
 from scipy.linalg import svdvals
 
 from . import tuner as _tuner
+from .prox import _check_full_rank
 from .quartic import _require_finite
 
 __all__ = [
@@ -37,9 +38,6 @@ __all__ = [
     "solve",
     "contradiction_demo",
 ]
-
-_RANK_TOL = 1e-10
-
 
 class ProblemSpec:
     """Data and oracles for one instance of the two-block problem.
@@ -114,9 +112,8 @@ class ProblemSpec:
             for name, M in (("A", self.A), ("B", self.B)):
                 if M is None:
                     continue
-                s = svdvals(M)
-                if M.shape[0] < M.shape[1] or s[-1] < _RANK_TOL * s[0] or s[0] == 0.0:
-                    raise ValueError(f"constraint matrix {name} does not have full column rank")
+                _check_full_rank(svdvals(M), M.shape[1],
+                                 f"constraint matrix {name} does not have full column rank")
 
     def apply_A(self, x):
         return x if self.A is None else self.A @ x
@@ -221,10 +218,11 @@ def drs_step(zeta, spec: ProblemSpec, gamma: float, theta: float = 0.5):
 
     At ``theta = 0.5`` this is exactly the map whose iterates the alternating
     x, z and multiplier steps trace through ``zeta^k = A x^{k+1} + lam^k / gamma``.
-    A non-finite ``zeta`` raises ValueError.
+    A non-finite ``zeta``, or a ``gamma`` whose reciprocal overflows, raises
+    ValueError.
     """
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not (0.0 < gamma < math.inf and math.isfinite(1.0 / float(gamma))):
+        raise ValueError(f"gamma must be positive and finite with a finite reciprocal, got {gamma}")
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
     zeta = np.asarray(zeta, dtype=float).ravel()
@@ -437,6 +435,8 @@ def contradiction_demo(spec: ProblemSpec, zeta0=None, *, ax_star=None,
     z0 = np.zeros(ax.size) if zeta0 is None else np.asarray(zeta0, dtype=float).ravel()
     if not (ax.size == lam.size == z0.size):
         raise ValueError("ax_star, lambda_star, and zeta0 must have one common length")
+    # a zero ax_star or lambda_star raises DegenerateProblemError here
+    coeffs = _tuner.build_coefficients(ax, lam, None if zeta0 is None else z0)
 
     ax_nrm2 = float(ax @ ax)
     lam_nrm2 = float(lam @ lam)
@@ -450,7 +450,6 @@ def contradiction_demo(spec: ProblemSpec, zeta0=None, *, ax_star=None,
     )
     contradiction = (g1 is None) or (g1 <= 0.0) or (g2 <= 0.0) or not agree
 
-    coeffs = _tuner.build_coefficients(ax, lam, None if zeta0 is None else z0)
     alpha = _tuner.solve_quartic(coeffs)
     return ContradictionReport(
         gamma_dagger_primal=g1,

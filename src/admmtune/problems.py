@@ -12,6 +12,12 @@ runs only the draw, for exports that never solve.  Two size profiles are
 bundled: "desk" instances solve in seconds and back the test suite, "paper"
 instances are the full-size counterparts.
 
+The proximal maps are catalog handles (:func:`~admmtune.prox.catalog_prox`)
+behind two adapters from the engine's convention to the classical one.  lad
+and huber, whose f is zero under a data matrix A, take ``x = A^+ w``.  Two
+x-steps are written here instead: the wide lasso's, whose image under A the
+objective reads, and tv's, whose constraint map is not the identity.
+
 Families
 --------
 lp      linear program over the nonnegative orthant, equality constrained
@@ -32,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import ProblemSpec, TerminationRule, solve
-from .prox import _cholesky_solver, _shifted_solver, _soft_threshold, _wide_gram_solver, catalog_prox
+from .prox import _shifted_solver, _wide_gram_solver, catalog_prox
 from . import tuner
 
 __all__ = [
@@ -123,6 +129,27 @@ def _count(fraction, total):
     return max(1, int(round(fraction * total)))
 
 
+# the engine's steps from a catalog handle; ``evaluate`` skips the handle's
+# per-call argument checks
+def _x_step(handle):
+    """``prox_f`` for A = I: argmin f(x) + (g/2)||x - w||^2 is the classical prox at penalty 1/g."""
+    evaluate = handle.evaluate
+    return lambda w, g: evaluate(w, 1.0 / g)
+
+
+def _z_step(handle):
+    """``prox_g`` for B = -I: argmin h(z) + (g/2)||z + w||^2 is the classical prox of -w at 1/g."""
+    evaluate = handle.evaluate
+    return lambda w, g: evaluate(-w, 1.0 / g)
+
+
+def _pinv_step(A):
+    """``prox_f`` for f = 0 and a full-column-rank ``A``: ``x = A^+ w`` at every g."""
+    A_pinv = np.linalg.pinv(A)
+    A_pinv.setflags(write=False)
+    return lambda w, g: A_pinv @ w
+
+
 def _draw_lp(rng, dims, params):
     m, n = dims["m"], dims["n"]
     cost = rng.uniform(0.5, 1.5, n)
@@ -135,20 +162,12 @@ def _draw_lp(rng, dims, params):
 def _spec_lp(dims, data, params):
     cost, A, b = data["cost"], data["A"], data["b"]
     n = dims["n"]
-    gram_solve = _cholesky_solver(A @ A.T)
-    a_cost = A @ cost
-
-    def prox_f(w, g):
-        nu = gram_solve(g * (A @ w - b) - a_cost)
-        return w - (cost + A.T @ nu) / g
-
-    def prox_g(w, g):
-        return np.maximum(-w, 0.0)
 
     def objective(x, z):
         return float(cost @ x)
 
-    return ProblemSpec(prox_f, prox_g, objective, n=n, p=n)
+    return ProblemSpec(_x_step(catalog_prox("quad_affine", P=np.zeros((n, n)), q=cost, A=A, b=b)),
+                       _z_step(catalog_prox("nonneg", dim=n)), objective, n=n, p=n)
 
 
 def _start_lp(data, spec):
@@ -166,29 +185,20 @@ def _draw_qp(rng, dims, params):
     P = 0.5 * (P + P.T)
     q = rng.standard_normal(n)
     r = float(rng.standard_normal())
-    b1 = rng.standard_normal(n)
-    b2 = rng.standard_normal(n)
-    lower = np.minimum(b1, b2)
-    upper = np.maximum(b1, b2)
+    lower, upper = np.sort([rng.standard_normal(n), rng.standard_normal(n)], axis=0)
     return {"P": P, "q": q, "r": r, "lower": lower, "upper": upper}, dict(params)
 
 
 def _spec_qp(dims, data, params):
     P, q, r = data["P"], data["q"], data["r"]
-    lower, upper = data["lower"], data["upper"]
     n = dims["n"]
-    x_solve = _shifted_solver(P)
-
-    def prox_f(w, g):
-        return x_solve(g, 1.0, g * w - q)
-
-    def prox_g(w, g):
-        return np.clip(-w, lower, upper)
 
     def objective(x, z):
         return float(0.5 * x @ (P @ x) + q @ x + r)
 
-    return ProblemSpec(prox_f, prox_g, objective, n=n, p=n)
+    return ProblemSpec(_x_step(catalog_prox("quad_affine", P=P, q=q)),
+                       _z_step(catalog_prox("box", dim=n, lower=data["lower"], upper=data["upper"])),
+                       objective, n=n, p=n)
 
 
 def _start_qp(data, spec):
@@ -209,18 +219,11 @@ def _draw_lad(rng, dims, params):
 
 def _spec_lad(dims, data, params):
     A, b = data["A"], data["b"]
-    gram_solve = _cholesky_solver(A.T @ A)
-
-    def prox_f(w, g):
-        return gram_solve(A.T @ w)
-
-    def prox_g(w, g):
-        return _soft_threshold(-w, 1.0 / g)
 
     def objective(x, z):
         return float(np.abs(z).sum())
 
-    return ProblemSpec(prox_f, prox_g, objective, A=A, c=b)
+    return ProblemSpec(_pinv_step(A), _z_step(catalog_prox("l1", dim=b.size)), objective, A=A, c=b)
 
 
 def _draw_huber(rng, dims, params):
@@ -239,21 +242,12 @@ def _draw_huber(rng, dims, params):
 
 def _spec_huber(dims, data, params):
     A, b = data["A"], data["b"]
-    gram_solve = _cholesky_solver(A.T @ A)
-
-    def prox_f(w, g):
-        return gram_solve(A.T @ w)
-
-    def prox_g(w, g):
-        t = 1.0 / g
-        v = -w
-        return np.where(np.abs(v) <= 1.0 + t, v / (1.0 + t), v - t * np.sign(v))
 
     def objective(x, z):
         a = np.abs(z)
         return float(np.where(a <= 1.0, 0.5 * z * z, a - 0.5).sum())
 
-    return ProblemSpec(prox_f, prox_g, objective, A=A, c=b)
+    return ProblemSpec(_pinv_step(A), _z_step(catalog_prox("huber", dim=b.size)), objective, A=A, c=b)
 
 
 def _draw_bp(rng, dims, params):
@@ -271,18 +265,12 @@ def _spec_bp(dims, data, params):
     A, b = data["A"], data["b"]
     n = dims["n"]
     alpha = float(params["alpha"])
-    gram_solve = _cholesky_solver(A @ A.T)
-
-    def prox_f(w, g):
-        return w - A.T @ gram_solve(A @ w - b)
-
-    def prox_g(w, g):
-        return _soft_threshold(-w, alpha / g)
 
     def objective(x, z):
         return float(alpha * np.abs(z).sum())
 
-    return ProblemSpec(prox_f, prox_g, objective, n=n, p=n)
+    return ProblemSpec(_x_step(catalog_prox("affine_set", A=A, b=b)),
+                       _z_step(catalog_prox("l1", dim=n, weight=alpha)), objective, n=n, p=n)
 
 
 def _draw_lasso(rng, dims, params):
@@ -303,17 +291,16 @@ def _spec_lasso(dims, data, params):
     A, b = data["A"], data["b"]
     m, n = dims["m"], dims["n"]
     alpha = params["alpha"]
-    atb = A.T @ b
     if m >= n:
-        x_solve = _shifted_solver(A.T @ A)
-
-        def prox_f(w, g):
-            return x_solve(g, 1.0, atb + g * w)
+        prox_f = _x_step(catalog_prox("lstsq", A=A, b=b))
 
         def residual(x):
             return A @ x - b
 
     else:
+        # the catalog's wide lstsq drops the image t = U^T A x of its
+        # x-step, which the objective below reads instead of a pass over A
+        atb = A.T @ b
         x_solve, ub = _wide_gram_solver(A, b)
         # the newest (x, t) pair, bound in one assignment so that no thread
         # reads one call's x with another call's t
@@ -333,14 +320,11 @@ def _spec_lasso(dims, data, params):
             x_last, t = last
             return t - ub if x is x_last else A @ x - b
 
-    def prox_g(w, g):
-        return _soft_threshold(-w, alpha / g)
-
     def objective(x, z):
         res = residual(x)
         return float(0.5 * res @ res + alpha * np.abs(z).sum())
 
-    return ProblemSpec(prox_f, prox_g, objective, n=n, p=n)
+    return ProblemSpec(prox_f, _z_step(catalog_prox("l1", dim=n, weight=alpha)), objective, n=n, p=n)
 
 
 def _difference_matrix(n):
@@ -369,14 +353,12 @@ def _spec_tv(dims, data, params):
     # a dense n x n eigenbasis of F^T F costs memory of the same order as F
     x_solve = _shifted_solver(F.T @ F)
 
+    # the constraint map is F, not I, so this x-step is no prox of f alone
     def prox_f(w, g):
         rhs = b.copy()
         rhs[:-1] -= g * w
         rhs[1:] += g * w
         return x_solve(1.0, g, rhs)
-
-    def prox_g(w, g):
-        return _soft_threshold(-w, alpha / g)
 
     def objective(x, z):
         d = x - b
@@ -384,7 +366,8 @@ def _spec_tv(dims, data, params):
 
     # F is (n-1) x n and can never have full column rank; the quadratic
     # data fit keeps the x step single-valued regardless
-    return ProblemSpec(prox_f, prox_g, objective, A=F, c=np.zeros(n - 1), rank_check=False)
+    return ProblemSpec(prox_f, _z_step(catalog_prox("l1", dim=n - 1, weight=alpha)), objective,
+                       A=F, c=np.zeros(n - 1), rank_check=False)
 
 
 def _draw_sics(rng, dims, params):
@@ -397,13 +380,6 @@ def _spec_sics(dims, data, params):
     S = data["S"]
     n = dims["n"]
     alpha = float(params["alpha"])
-    logdet_handle = catalog_prox("logdet_quad", n=n, S=S)
-
-    def prox_f(w, g):
-        return logdet_handle.evaluate(w, 1.0 / g)
-
-    def prox_g(w, g):
-        return _soft_threshold(-w, alpha / g)
 
     def objective(x, z):
         X = x.reshape(n, n)
@@ -412,7 +388,8 @@ def _spec_sics(dims, data, params):
             return float("inf")
         return float(np.trace(S @ X) - logdet + alpha * np.abs(z).sum())
 
-    return ProblemSpec(prox_f, prox_g, objective, n=n * n, p=n * n)
+    return ProblemSpec(_x_step(catalog_prox("logdet_quad", n=n, S=S)),
+                       _z_step(catalog_prox("l1", dim=n * n, weight=alpha)), objective, n=n * n, p=n * n)
 
 
 def _zero_start(data, spec):
@@ -446,6 +423,9 @@ def _draw(kind, dims, seed, params, profile):
     expected = set(PROFILES[kind]["desk"])
     if set(dims) != expected:
         raise ValueError(f"dims for {kind} needs keys {sorted(expected)}, got {sorted(dims)}")
+    for key, value in dims.items():
+        if value < 1:
+            raise ValueError(f"dims[{key!r}] for {kind} must be at least 1, got {value}")
     merged = dict(_DEFAULT_PARAMS[kind])
     for key, value in (params or {}).items():
         if key not in merged:

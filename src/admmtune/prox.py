@@ -16,13 +16,15 @@ identity ``prox_f(v, rho) + prox_fstar(v, 1/rho) = v``, which is how
 conjugate function itself.
 
 ``catalog_prox`` builds classical handles for a collection of standard
-functions.  The quadratic entries eigendecompose their matrix once, when the
-handle is built, and then solve at any penalty with two matrix-vector
-products.  A wide ``lstsq`` (fewer rows than columns) decomposes the small
-Gram matrix ``A A^T`` and folds its eigenbasis into ``A``, so each solve is
-two passes over one m x n matrix.  ``affine_set``, whose system does not depend on the penalty,
-Cholesky-factors it once and then solves with one LAPACK call per
-evaluation.  Handles hold only read-only arrays and are safe to share across
+functions; the problem zoo builds its proximal maps from them.  The
+quadratic entries eigendecompose their matrix once, when the handle is
+built, and then solve at any penalty with two matrix-vector products.  A
+wide ``lstsq`` (fewer rows than columns) decomposes the small Gram matrix
+``A A^T`` and folds its eigenbasis into ``A``, so each solve is two passes
+over one m x n matrix.  ``affine_set`` and a constrained ``quad_affine``
+split space along one SVD of the constraint matrix: ``affine_set``
+projects with its row-space basis, ``quad_affine`` solves in its null
+space.  Handles hold only read-only arrays and are safe to share across
 threads.
 """
 
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import eigh
-from scipy.linalg import cho_factor, get_lapack_funcs, solveh_banded, svd, svdvals
+from scipy.linalg import solveh_banded, svd
 
 __all__ = [
     "CLASSICAL",
@@ -220,36 +222,30 @@ def _wide_gram_solver(A, d):
     return solve, ud
 
 
-def _cholesky_solver(M):
-    """Return ``solve(r) = M^-1 r`` for a symmetric positive definite ``M``.
-
-    ``M`` is Cholesky-factored once; each solve is one LAPACK ``potrs`` call
-    on the read-only factor, the same call ``scipy.linalg.cho_solve`` makes
-    after its per-call argument checks.  ``solve`` may be shared across
-    threads.  It raises ValueError when LAPACK reports an illegal argument.
-    """
-    factor, lower = cho_factor(M)
-    factor.setflags(write=False)
-    potrs, = get_lapack_funcs(("potrs",), (factor,))
-
-    def solve(r):
-        x, info = potrs(factor, r, lower=lower)
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
-        return x
-
-    return solve
-
-
 def _require_positive(gamma):
     if not gamma > 0.0:
         raise ValueError(f"penalty gamma must be positive, got {gamma}")
 
 
-def _check_full_row_rank(s, what):
-    """Reject a matrix whose singular values ``s`` show a deficient row rank."""
-    if s.size == 0 or s[-1] < _RANK_TOL * s[0] or s[0] == 0.0:
-        raise ValueError(f"{what} is rank deficient (min/max singular value ratio below {_RANK_TOL})")
+def _check_full_rank(s, rank, message):
+    """Raise ValueError(message) unless the descending singular values ``s`` show rank ``rank``."""
+    if s.size != rank or rank == 0 or s[-1] < _RANK_TOL * s[0] or s[0] == 0.0:
+        raise ValueError(message)
+
+
+def _affine_frame(A, b, full_matrices):
+    """Read-only right singular vectors ``Vt`` of a full-row-rank ``A`` and ``x0 = A^+ b``.
+
+    The first p rows of ``Vt`` span the row space of the p x n matrix ``A``;
+    with ``full_matrices`` the remaining n - p span its null space.
+    """
+    U, s, Vt = svd(A, full_matrices=full_matrices)
+    p = A.shape[0]
+    _check_full_rank(s, p, f"constraint matrix A ({p} x {A.shape[1]}) does not have full row rank")
+    x0 = Vt[:p].T @ ((U.T @ b) / s)
+    for arr in (Vt, x0):
+        arr.setflags(write=False)
+    return Vt, x0
 
 
 def _soft_threshold(v, t):
@@ -296,12 +292,12 @@ def _entry_affine_set(A, b):
     b = np.asarray(b, dtype=float).ravel()
     if A.ndim != 2 or A.shape[0] != b.size:
         raise ValueError(f"need A (p, n) and b (p,), got {A.shape} and {b.shape}")
-    _check_full_row_rank(svdvals(A), "affine-set matrix A")
-    gram_solve = _cholesky_solver(A @ A.T)
+    Vt, x0 = _affine_frame(A, b, full_matrices=False)
 
     def evaluate(v, gamma):
         _require_positive(gamma)
-        return v - A.T @ gram_solve(A @ v - b)
+        # v - A^+ (A v - b), with A^+ A = V V^T the row-space projector
+        return v - Vt.T @ (Vt @ v) + x0
 
     return ProxHandle(evaluate, CLASSICAL, A.shape[1])
 
@@ -332,13 +328,10 @@ def _entry_quad_affine(P, q=None, A=None, b=None):
     b = np.asarray(b, dtype=float).ravel()
     if A.ndim != 2 or A.shape[1] != n or A.shape[0] != b.size:
         raise ValueError(f"need A (p, {n}) and b (p,), got {A.shape} and {b.shape}")
-    U_a, sv, Vt = svd(A)
-    _check_full_row_rank(sv, "constraint matrix A")
-    p = A.shape[0]
+    Vt, x0 = _affine_frame(A, b, full_matrices=True)
     # x = x0 + N y with x0 = pinv(A) b and N an orthonormal basis of null(A);
     # since N^T x0 = 0, the prox reduces to (I + gamma N^T P N) y = N^T (v - gamma (q + P x0))
-    x0 = Vt[:p].T @ ((U_a.T @ b) / sv)
-    N = Vt[p:].T
+    N = Vt[A.shape[0]:].T
     c = q + P @ x0
     solve = _shifted_solver(N.T @ P @ N)
 
@@ -469,9 +462,10 @@ def catalog_prox(kind: str, **params) -> ProxHandle:
         - ``"box"``: indicator of [lower, upper]; params dim, lower, upper
           (scalars or vectors).
         - ``"affine_set"``: indicator of {z : A z = b}; params A, b.  A must
-          have full row rank.
+          have full row rank (so no more rows than columns).
         - ``"quad_affine"``: 0.5 z'Pz + q'z, optionally restricted to
-          {z : A z = b}; params P, q, A, b.  P must be symmetric.
+          {z : A z = b}; params P, q, A, b.  P must be symmetric and A, when
+          given, of full row rank.
         - ``"lstsq"``: 0.5 ||A z - b||^2; params A, b.
         - ``"huber"``: weight * sum_i huber_delta(z_i) with the quadratic
           zone |t| <= delta; params dim, delta (default 1), weight (default 1).
@@ -489,10 +483,10 @@ def catalog_prox(kind: str, **params) -> ProxHandle:
         ``lstsq``) eigendecompose their matrix once, here, and serve every
         penalty value from it; a wide ``lstsq`` folds the eigenbasis of
         ``A A^T`` into ``A``, so a call is two passes over one m x n matrix;
-        ``affine_set`` Cholesky-factors ``A A^T`` once,
-        here; ``tv_quad`` solves its tridiagonal system per call.  No handle
-        writes to the data it holds, so every handle may be shared across
-        threads.
+        ``affine_set`` takes one thin SVD of ``A`` here and projects with
+        two passes over its p x n row-space basis; ``tv_quad`` solves its
+        tridiagonal system per call.  No handle writes to the data it holds,
+        so every handle may be shared across threads.
     """
     try:
         builder = _CATALOG[kind]

@@ -57,7 +57,8 @@ class StepSizePlan:
         first.  ORACLE computes the optimal value once from a known solution
         pair before the run starts.
     gamma0 : float
-        Starting penalty (default 1), positive and finite.
+        Starting penalty (default 1), positive and finite, with a finite
+        reciprocal.
     update_threshold : float
         ESTIMATED only: relative change below which a new estimate is
         discarded and the current value kept (default 0, always update);
@@ -81,8 +82,10 @@ class StepSizePlan:
     def __post_init__(self):
         if self.mode not in (FIXED, ESTIMATED, ORACLE):
             raise ValueError(f"unknown plan mode {self.mode!r}")
-        if not (math.isfinite(self.gamma0) and self.gamma0 > 0.0):
-            raise ValueError(f"gamma0 must be positive and finite, got {self.gamma0}")
+        # the engine divides by gamma, so its reciprocal must be finite too
+        if not (0.0 < self.gamma0 < math.inf and math.isfinite(1.0 / float(self.gamma0))):
+            raise ValueError(
+                f"gamma0 must be positive and finite with a finite reciprocal, got {self.gamma0}")
         if not (math.isfinite(self.update_threshold) and self.update_threshold >= 0.0):
             raise ValueError(
                 f"update_threshold must be nonnegative and finite, got {self.update_threshold}")
@@ -144,20 +147,25 @@ def gamma_zero_init(ax_star, lambda_star) -> float:
     """Optimal step size for the zero start, ``||lambda_star|| / ||ax_star||``.
 
     This is the closed form the quartic reduces to when both mixed
-    coefficients vanish.  A non-finite entry in either vector raises
-    ValueError.
+    coefficients vanish.  A non-finite entry in either vector, or a squared
+    norm that overflows, raises ValueError; a zero vector raises
+    DegenerateProblemError.
     """
     ax = np.asarray(ax_star, dtype=float).ravel()
     lam = np.asarray(lambda_star, dtype=float).ravel()
     _require_finite("ax_star", ax)
     _require_finite("lambda_star", lam)
-    ax_nrm = float(np.linalg.norm(ax))
-    lam_nrm = float(np.linalg.norm(lam))
-    if ax_nrm == 0.0:
+    with np.errstate(over="ignore"):
+        ax_nrm2 = float(ax @ ax)
+        lam_nrm2 = float(lam @ lam)
+    # the quartic route rejects the same overflowing squares
+    if not (math.isfinite(ax_nrm2) and math.isfinite(lam_nrm2)):
+        raise ValueError(f"squared norms must be finite, got {ax_nrm2!r} and {lam_nrm2!r}")
+    if ax_nrm2 == 0.0:
         raise DegenerateProblemError("ax_star is zero; the optimal step size is undefined")
-    if lam_nrm == 0.0:
+    if lam_nrm2 == 0.0:
         raise DegenerateProblemError("lambda_star is zero; the optimal step size is undefined")
-    return lam_nrm / ax_nrm
+    return math.sqrt(lam_nrm2) / math.sqrt(ax_nrm2)
 
 
 def gamma_general(ax_star, lambda_star, zeta0=None) -> float:

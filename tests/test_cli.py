@@ -262,7 +262,7 @@ def test_generate_writes_instance(tmp_path):
 
 def test_non_finite_step_sizes_exit_two(tmp_path, capsys):
     out = str(tmp_path)
-    for plan in ("fixed:inf", "fixed:nan", "estimated:inf"):
+    for plan in ("fixed:inf", "fixed:nan", "estimated:inf", "fixed:1e-320"):
         assert run_cli(["run", "--kind", "qp", "--plan", plan, "--out", out]) == 2
         assert "gamma0 must be positive and finite" in capsys.readouterr().err
     assert run_cli(["run", "--kind", "qp", "--plan", "estimated", "--update-threshold", "nan",
@@ -283,7 +283,8 @@ def test_generate_exports_without_building_a_solver(tmp_path, monkeypatch):
                               indent=2, sort_keys=True) + "\n"
              for kind in KINDS}
     monkeypatch.setattr(prox, "eigh", _refuse)
-    monkeypatch.setattr(prox, "cho_factor", _refuse)
+    monkeypatch.setattr(prox, "svd", _refuse)
+    monkeypatch.setattr(np.linalg, "pinv", _refuse)
     with pytest.raises(AssertionError):
         generate("lasso", profile="desk", seed=2)
     out = tmp_path / "gen"

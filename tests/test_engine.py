@@ -150,6 +150,9 @@ def test_drs_step_validation():
     spec = small_spec()
     with pytest.raises(ValueError):
         drs_step(np.zeros(6), spec, -1.0)
+    with pytest.raises(ValueError, match="reciprocal"):
+        drs_step(np.zeros(6), spec, 1e-320)
+    assert np.all(np.isfinite(drs_step(np.zeros(6), spec, 1e-300)))
     with pytest.raises(ValueError):
         drs_step(np.zeros(6), spec, 1.0, theta=1.0)
     with pytest.raises(ValueError):
@@ -276,3 +279,6 @@ def test_contradiction_handles_vanishing_denominator():
     assert rep.gamma_dagger_primal is None
     assert rep.contradiction
     assert rep.gamma_star > 0.0
+    # a zero ax_star leaves the dual-view quotient undefined
+    with pytest.raises(at.DegenerateProblemError):
+        contradiction_demo(spec, ax_star=np.zeros(6), lambda_star=np.ones(6))

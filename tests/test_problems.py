@@ -1,8 +1,8 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
 
 import admmtune as at
 from admmtune import (
@@ -15,6 +15,7 @@ from admmtune import (
 )
 
 from conftest import ACCEPT_SEEDS
+from test_trajectory import SNAPSHOT
 
 
 def test_registry_covers_every_kind():
@@ -43,6 +44,11 @@ def test_generate_validation():
         generate("lp", dims={"m": 5, "n": 8, "extra": 1})
     with pytest.raises(ValueError):
         generate("lasso", profile="desk", params={"mystery": 1.0})
+    for dims, key in (({"m": 0, "n": 5}, "'m'"), ({"m": 3, "n": 0}, "'n'"), ({"m": -1, "n": 5}, "'m'")):
+        with pytest.raises(ValueError, match=key):
+            generate("lasso", dims=dims)
+    with pytest.raises(ValueError, match="'samples'"):
+        at.generate_data("sics", dims={"n": 3, "samples": 0})
 
 
 def test_instance_serialization_round_trip():
@@ -120,13 +126,27 @@ def test_every_desk_instance_solves_to_high_accuracy(desk):
 
 
 def _x_step_system(inst, w, gamma):
-    """Dense matrix and right-hand side of the x-step that each builder solves."""
+    """Dense matrix and right-hand side of each family's x-step.
+
+    The x-step is the first ``spec.n`` entries of the solution: the equality
+    constrained families (lp, bp) solve a KKT system for (x, multiplier).
+    """
     data = inst.data
     if inst.kind == "lasso":
         A = data["A"]
         return A.T @ A + gamma * np.eye(A.shape[1]), A.T @ data["b"] + gamma * w
     if inst.kind == "qp":
         return data["P"] + gamma * np.eye(w.size), gamma * w - data["q"]
+    if inst.kind in ("lp", "bp"):
+        A = data["A"]
+        m, n = A.shape
+        cost = data["cost"] if inst.kind == "lp" else np.zeros(n)
+        kkt = np.block([[gamma * np.eye(n), A.T], [A, np.zeros((m, m))]])
+        return kkt, np.concatenate([gamma * w - cost, data["b"]])
+    if inst.kind in ("lad", "huber"):
+        # f = 0, so the x-step is least squares: the normal equations
+        A = data["A"]
+        return A.T @ A, A.T @ w
     F = inst.spec.A
     return np.eye(F.shape[1]) + gamma * F.T @ F, data["b"] + gamma * F.T @ w
 
@@ -136,36 +156,49 @@ def _x_step_system(inst, w, gamma):
     ("lasso", {"m": 60, "n": 40}),
     ("qp", None),
     ("tv", None),
+    ("lp", None),
+    ("bp", None),
+    ("lad", None),
+    ("huber", None),
 ])
 def test_quadratic_x_step_matches_dense_solve(desk, kind, dims):
     inst = desk(kind) if dims is None else generate(kind, dims=dims, seed=1)
     rng = np.random.default_rng(13)
     for gamma in np.geomspace(1e-3, 1e3, 13):
         w = rng.normal(size=inst.spec.p)
-        want = np.linalg.solve(*_x_step_system(inst, w, gamma))
+        want = np.linalg.solve(*_x_step_system(inst, w, gamma))[:inst.spec.n]
         got = inst.spec.prox_f(w, gamma)
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want), gamma
 
 
-def _cho_solve_x_step(inst, w, gamma):
-    """The x-step of lp, lad, huber and bp written with ``scipy.linalg.cho_solve``."""
-    A, b = inst.data["A"], inst.data["b"]
+def _closed_form_z_step(inst, w, gamma):
+    """Each family's z-step, argmin h(z) + (gamma/2)||z + w||^2, written out."""
+    v = -w
     if inst.kind == "lp":
-        cost = inst.data["cost"]
-        nu = cho_solve(cho_factor(A @ A.T), gamma * (A @ w - b) - A @ cost)
-        return w - (cost + A.T @ nu) / gamma
-    if inst.kind == "bp":
-        return w - A.T @ cho_solve(cho_factor(A @ A.T), A @ w - b)
-    return cho_solve(cho_factor(A.T @ A), A.T @ w)
+        return np.maximum(v, 0.0)
+    if inst.kind == "qp":
+        return np.clip(v, inst.data["lower"], inst.data["upper"])
+    if inst.kind == "huber":
+        t = 1.0 / gamma
+        return np.where(np.abs(v) <= 1.0 + t, v / (1.0 + t), v - t * np.sign(v))
+    alpha = 1.0 if inst.kind == "lad" else inst.params["alpha"]
+    return np.sign(v) * np.maximum(np.abs(v) - alpha / gamma, 0.0)
 
 
-@pytest.mark.parametrize("kind", ["lp", "lad", "huber", "bp"])
-def test_cholesky_x_step_is_the_cho_solve_arithmetic(desk, kind):
+@pytest.mark.parametrize("kind", KINDS)
+def test_z_steps_are_the_closed_forms(desk, kind):
     inst = desk(kind)
     rng = np.random.default_rng(17)
     for gamma in np.geomspace(1e-3, 1e3, 13):
         w = rng.normal(size=inst.spec.p)
-        assert np.array_equal(inst.spec.prox_f(w, gamma), _cho_solve_x_step(inst, w, gamma)), gamma
+        got = inst.spec.prox_g(w, gamma)
+        want = _closed_form_z_step(inst, w, gamma)
+        if kind in ("lasso", "tv"):
+            # the catalog thresholds at (1/gamma) * alpha, not alpha / gamma
+            ulps = np.spacing(inst.params["alpha"] / gamma) + np.spacing(np.abs(w))
+            assert np.all(np.abs(got - want) <= 2.0 * ulps), gamma
+        else:
+            assert np.array_equal(got, want), gamma
 
 
 def test_objective_is_finite_at_oracle(desk, oracle):
@@ -197,6 +230,12 @@ def test_paper_profile_dimensions_differ():
 
 def test_acceptance_seeds_cover_all_kinds():
     assert set(ACCEPT_SEEDS) == set(KINDS)
+
+
+def test_trajectory_snapshot_is_the_benchmark_zoo_table():
+    # two pinned copies of the same sweep counts must not drift apart
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "snapshot.json"
+    assert json.loads(path.read_text())["zoo"] == SNAPSHOT
 
 
 def _textbook_lasso_objective(inst, x, z):

@@ -1,3 +1,4 @@
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -6,8 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-
-from scipy.linalg import cho_factor, cho_solve
 
 import admmtune.prox as prox_mod
 from admmtune import (
@@ -199,15 +198,16 @@ def test_affine_set_requires_full_row_rank():
         catalog_prox("affine_set", A=np.array([[1.0, 0.0], [2.0, 0.0]]), b=np.zeros(2))
 
 
-def test_affine_set_is_the_cho_solve_arithmetic():
-    rng = np.random.default_rng(9)
-    A = rng.normal(size=(3, 7))
-    b = rng.normal(size=3)
-    h = catalog_prox("affine_set", A=A, b=b)
-    gram = cho_factor(A @ A.T)
-    for gamma in GAMMAS:
-        v = rng.normal(size=7)
-        assert np.array_equal(h(v, gamma), v - A.T @ cho_solve(gram, A @ v - b)), gamma
+@pytest.mark.parametrize("kind", ["affine_set", "quad_affine"])
+def test_constraint_entries_reject_more_rows_than_columns(kind):
+    # a tall A has full column rank at best; its row space is not all of R^p
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        params = {"A": rng.normal(size=(3, 2)), "b": rng.normal(size=3)}
+        if kind == "quad_affine":
+            params["P"] = np.eye(2)
+        with pytest.raises(ValueError, match="full row rank"):
+            catalog_prox(kind, **params)
 
 
 def test_lstsq_matches_dense_solve_both_shapes():
@@ -231,6 +231,10 @@ def test_quadratic_entries_match_dense_solve():
     b_eq = rng.normal(size=2)
     free = catalog_prox("quad_affine", P=P, q=q)
     pinned = catalog_prox("quad_affine", P=P, q=q, A=A_eq, b=b_eq)
+    # the projection onto {x : A x = b}, wide and square
+    affine = [(A, b, catalog_prox("affine_set", A=A, b=b))
+              for A, b in ((rng.normal(size=(3, n)), rng.normal(size=3)),
+                           (rng.normal(size=(n, n)), rng.normal(size=n)))]
     m = 12
     target = rng.normal(size=m - 1)
     D = np.diff(np.eye(m), axis=0)
@@ -242,6 +246,11 @@ def test_quadratic_entries_match_dense_solve():
         kkt = np.block([[np.eye(n) + gamma * P, A_eq.T], [A_eq, np.zeros((2, 2))]])
         want = np.linalg.solve(kkt, np.concatenate([v - gamma * q, b_eq]))[:n]
         assert np.allclose(pinned(v, gamma), want, atol=1e-9)
+        for A, b, h in affine:
+            p = A.shape[0]
+            kkt = np.block([[np.eye(n), A.T], [A, np.zeros((p, p))]])
+            want = np.linalg.solve(kkt, np.concatenate([v, b]))[:n]
+            assert np.linalg.norm(h(v, gamma) - want) <= 1e-9 * np.linalg.norm(want), (p, gamma)
         v = rng.normal(size=m)
         want = np.linalg.solve(np.eye(m) + gamma * D.T @ D, v + gamma * D.T @ target)
         assert np.allclose(tv(v, gamma), want, atol=1e-9)
@@ -442,13 +451,20 @@ def test_wide_gram_solver_residual_and_image(system):
     solve, ud = prox_mod._wide_gram_solver(A, d)
     x, t = solve(a, b, r)
     norm_a = np.linalg.norm(A, 2)
-    # rounding scale of x = (r - b W^T t) / a, which cancels when a is small
-    x_err = 1e-12 * (np.linalg.norm(r) + b * norm_a * np.linalg.norm(t)) / a
+
+    # math.hypot scales, where np.linalg.norm's squares of tiny entries fall
+    # into the subnormals and lose digits
+    def norm(v):
+        return math.hypot(*v)
+
+    # rounding scale of x = (r - b W^T t) / a, which cancels when a is small;
+    # below the smallest normal float rounding errors are absolute
+    x_err = 1e-12 * (norm(r) + b * norm_a * norm(t)) / a + np.finfo(float).tiny
     resid = (a * np.eye(A.shape[1]) + b * A.T @ A) @ x - r
-    assert np.linalg.norm(resid) <= (a + b * norm_a**2) * x_err
+    assert norm(resid) <= (a + b * norm_a**2) * x_err
     # A x = U t with U orthogonal, so the data residual keeps its norm
-    gap = abs(np.linalg.norm(t - ud) - np.linalg.norm(A @ x - d))
-    assert gap <= 1e-12 * (np.linalg.norm(t) + np.linalg.norm(d)) + norm_a * x_err
+    gap = abs(norm(t - ud) - norm(A @ x - d))
+    assert gap <= 1e-12 * (norm(t) + norm(d)) + norm_a * x_err
 
 
 def test_wide_gram_solver_rejects_non_positive_definite_shifts():

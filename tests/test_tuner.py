@@ -36,6 +36,9 @@ def test_zero_start_rejects_degenerate_vectors():
         gamma_zero_init(np.zeros(3), np.ones(3))
     with pytest.raises(DegenerateProblemError):
         gamma_zero_init(np.ones(3), np.zeros(3))
+    # squared norms that overflow, which the quartic route rejects too
+    with pytest.raises(ValueError, match="must be finite"):
+        gamma_zero_init([1e200] * 2, [1e200] * 2)
 
 
 def test_matched_start_vector_is_a_root():
@@ -199,6 +202,10 @@ def test_plan_rejects_non_finite_and_non_integer_settings():
     for bad in (2.5, True, -1, "3"):
         with pytest.raises(ValueError, match="freeze_after"):
             StepSizePlan.estimated(freeze_after=bad)
+    # the engine divides by gamma: a subnormal one overflows its reciprocal
+    with pytest.raises(ValueError, match="gamma0"):
+        StepSizePlan.fixed(1e-320)
+    assert StepSizePlan.fixed(1e-300).gamma0 == 1e-300
     assert StepSizePlan.estimated(freeze_after=0).freeze_after == 0
     assert StepSizePlan.estimated(freeze_after=np.int64(3)).freeze_after == 3
 
