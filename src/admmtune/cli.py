@@ -227,6 +227,17 @@ def _realize_plan(token, instance, init_vec, opts):
     )
 
 
+def _resolve_rule(opts, default_tol):
+    """The termination rule and the ``--strict`` flag of ``run`` and ``grid``."""
+    try:
+        rule = TerminationRule(tol=opts.get("tol", float, default_tol),
+                               max_iter=opts.get("max-iter", int, 10_000),
+                               theta=opts.get("theta", float, 0.5))
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+    return rule, opts.get("strict", _parse_bool, False)
+
+
 def _resolve_init(opts, instance):
     mode = opts.get("init", str, "zero")
     if mode == "zero":
@@ -242,14 +253,7 @@ def _cmd_run(args, config, config_path):
     plans = opts.get("plans", _parse_plans, None)
     if not plans:
         raise ConfigError("at least one plan is required (--plan or config 'plans')")
-    tol = opts.get("tol", float, 1e-6)
-    max_iter = opts.get("max-iter", int, 10_000)
-    theta = opts.get("theta", float, 0.5)
-    strict = opts.get("strict", _parse_bool, False)
-    try:
-        rule = TerminationRule(tol=tol, max_iter=max_iter, theta=theta)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    rule, strict = _resolve_rule(opts, 1e-6)
 
     instance = problems.generate(kind, profile=profile, seed=seed)
     init_vec, init_mode = _resolve_init(opts, instance)
@@ -266,7 +270,6 @@ def _cmd_run(args, config, config_path):
         if count:
             slug = f"{slug}-{count + 1}"
         record = solve(instance.spec, plan, init=init, rule=rule)
-        record.kind, record.seed, record.dims = kind, seed, dict(instance.dims)
         csv_name = f"{tag}_{slug}.csv"
         _atomic_write(os.path.join(out, csv_name), _run_csv(record.rows))
         all_converged &= record.converged
@@ -293,9 +296,9 @@ def _cmd_run(args, config, config_path):
         "seed": seed,
         "dims": dict(instance.dims),
         "params": instance.params,
-        "tol": tol,
-        "max_iter": max_iter,
-        "theta": theta,
+        "tol": rule.tol,
+        "max_iter": rule.max_iter,
+        "theta": rule.theta,
         "init": init_mode,
         "runs": summary_runs,
     }
@@ -313,20 +316,13 @@ def _cmd_grid(args, config, config_path):
     gamma_min = opts.get("gamma-min", float, 1e-3)
     gamma_max = opts.get("gamma-max", float, 1e3)
     points = opts.get("points", int, 50)
-    tol = opts.get("tol", float, 1e-4)
-    max_iter = opts.get("max-iter", int, 10_000)
-    theta = opts.get("theta", float, 0.5)
-    strict = opts.get("strict", _parse_bool, False)
+    rule, strict = _resolve_rule(opts, 1e-4)
     if points < 1:
         raise ConfigError(f"points must be at least 1, got {points}")
     if not (math.isfinite(gamma_min) and math.isfinite(gamma_max)):
         raise ConfigError(f"gamma-min and gamma-max must be finite, got {gamma_min} and {gamma_max}")
     if not 0.0 < gamma_min <= gamma_max:
         raise ConfigError(f"need 0 < gamma-min <= gamma-max, got {gamma_min} and {gamma_max}")
-    try:
-        rule = TerminationRule(tol=tol, max_iter=max_iter, theta=theta)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
 
     instance = problems.generate(kind, profile=profile, seed=seed)
     gammas = [float(g) for g in np.geomspace(gamma_min, gamma_max, points)]
@@ -343,8 +339,8 @@ def _cmd_grid(args, config, config_path):
         gammas=gammas,
         iterations=iterations,
         converged=converged,
-        tol=tol,
-        max_iter=max_iter,
+        tol=rule.tol,
+        max_iter=rule.max_iter,
         best_gamma=gammas[best_idx],
         best_iterations=iterations[best_idx],
         boundary_hit=len(gammas) > 1 and best_idx in (0, len(gammas) - 1),
@@ -365,9 +361,9 @@ def _cmd_grid(args, config, config_path):
         "profile": profile,
         "seed": seed,
         "dims": dict(instance.dims),
-        "tol": tol,
-        "max_iter": max_iter,
-        "theta": theta,
+        "tol": rule.tol,
+        "max_iter": rule.max_iter,
+        "theta": rule.theta,
         "points": points,
         "gamma_min": gamma_min,
         "gamma_max": gamma_max,

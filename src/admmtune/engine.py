@@ -62,7 +62,8 @@ class ProblemSpec:
     rank_check : bool
         When True (default), dense A and B are required to have full column
         rank (smallest/largest singular value ratio above 1e-10).  Builders
-        whose f keeps the x step single-valued anyway may disable it.
+        whose f keeps the x step single-valued anyway, or whose x step
+        checks the rank itself, may disable it.
     """
 
     def __init__(self, prox_f, prox_g, objective=None, A=None, B=None, c=None,
@@ -107,8 +108,7 @@ class ProblemSpec:
             raise ValueError(f"m={m} contradicts B with {self.B.shape[1]} columns")
 
         self.c = np.zeros(self.p) if c is None else c
-        self.rank_check = bool(rank_check)
-        if self.rank_check:
+        if rank_check:
             for name, M in (("A", self.A), ("B", self.B)):
                 if M is None:
                     continue
@@ -186,9 +186,6 @@ class RunRecord:
     lam: np.ndarray = None
     ax: np.ndarray = None
     zeta_unscaled: np.ndarray = None
-    kind: str = None
-    seed: int = None
-    dims: dict = None
     trace: dict = None
 
     @property
@@ -221,8 +218,7 @@ def drs_step(zeta, spec: ProblemSpec, gamma: float, theta: float = 0.5):
     A non-finite ``zeta``, or a ``gamma`` whose reciprocal overflows, raises
     ValueError.
     """
-    if not (0.0 < gamma < math.inf and math.isfinite(1.0 / float(gamma))):
-        raise ValueError(f"gamma must be positive and finite with a finite reciprocal, got {gamma}")
+    _tuner._check_gamma("gamma", gamma)
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
     zeta = np.asarray(zeta, dtype=float).ravel()
@@ -230,14 +226,6 @@ def drs_step(zeta, spec: ProblemSpec, gamma: float, theta: float = 0.5):
         raise ValueError(f"zeta must have length {spec.p}, got {zeta.size}")
     _require_finite("zeta", zeta)
     return _drs_sweep(zeta, spec, gamma, theta)[0]
-
-
-def _resolve_initial_gamma(plan):
-    if plan.mode in (_tuner.FIXED, _tuner.ESTIMATED):
-        return plan.gamma0
-    if plan.mode == _tuner.ORACLE:
-        return _tuner.gamma_general(plan.ax_star, plan.lambda_star, plan.zeta0)
-    raise ValueError(f"unknown plan mode {plan.mode!r}")
 
 
 def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
@@ -272,68 +260,51 @@ def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
     if rule is None:
         rule = TerminationRule()
     t0 = time.perf_counter()
-    gamma = float(_resolve_initial_gamma(plan))
-    if not gamma > 0.0:
-        raise ValueError(f"initial gamma must be positive, got {gamma}")
+    if plan.mode == _tuner.ORACLE:
+        gamma = float(_tuner.gamma_general(plan.ax_star, plan.lambda_star, plan.zeta0))
+        if init is None:
+            init = plan.zeta0
+    else:
+        gamma = float(plan.gamma0)
+    _tuner._check_gamma("initial gamma", gamma)
     theta = rule.theta
     rg = math.sqrt(gamma)
 
-    ax_last = None
-    lam_last = None
-    x_cur = z_cur = None
-    if init is not None and not isinstance(init, np.ndarray) and isinstance(init, (tuple, list)):
-        x0, z0, lam0 = (np.asarray(a, dtype=float).ravel() for a in init)
-        for name, v, size in (("x0", x0, spec.n), ("z0", z0, spec.m), ("lam0", lam0, spec.p)):
+    # the newest iterates; ax caches A @ x
+    x = z = lam = ax = None
+    if isinstance(init, (tuple, list)):
+        x0, z, lam = (np.asarray(a, dtype=float).ravel() for a in init)
+        for name, v, size in (("x0", x0, spec.n), ("z0", z, spec.m), ("lam0", lam, spec.p)):
             if v.size != size:
                 raise ValueError(f"{name} must have length {size}, got {v.size}")
             _require_finite(name, v)
-        x_cur = spec.prox_f(spec.c - spec.apply_B(z0) - lam0 / gamma, gamma)
-        z_cur = z0
-        lam_last = lam0
-        ax_last = spec.apply_A(x_cur)
-        sigma = ax_last + lam0 / gamma
+        x = spec.prox_f(spec.c - spec.apply_B(z) - lam / gamma, gamma)
+        ax = spec.apply_A(x)
+        sigma = ax + lam / gamma
     else:
-        if init is None:
-            zeta_u = plan.zeta0 if getattr(plan, "zeta0", None) is not None and plan.mode == _tuner.ORACLE else None
-            zeta_u = np.zeros(spec.p) if zeta_u is None else np.asarray(zeta_u, dtype=float).ravel()
-        else:
-            zeta_u = np.asarray(init, dtype=float).ravel()
+        zeta_u = np.zeros(spec.p) if init is None else np.asarray(init, dtype=float).ravel()
         if zeta_u.size != spec.p:
             raise ValueError(f"zeta0 must have length {spec.p}, got {zeta_u.size}")
         _require_finite("zeta0", zeta_u)
         sigma = zeta_u / rg
 
-    lam_cur = lam_last
     rows = []
-    sig_trace = [sigma.copy()] if trace else None
-    y_trace = [None] if trace else None
-
-    if math.isinf(rule.tol):
-        return RunRecord(
-            plan=plan.describe(), rows=[], iterations=0, iterations_to_tol=0,
-            converged=True, wall_time=time.perf_counter() - t0, final_gamma=gamma,
-            x=x_cur, z=z_cur, lam=lam_cur, ax=ax_last,
-            zeta_unscaled=rg * sigma,
-            trace={"sigma": sig_trace, "y_one": y_trace} if trace else None,
-        )
-
-    iterations_to_tol = None
-    converged = False
-    k_done = 0
-    est_state = None
-    if plan.mode == _tuner.ESTIMATED:
-        # the estimator reads one state per run, refreshed in place each sweep
-        est_state = SolverState(x=None, z=None, lam=None, gamma=gamma)
-    for k in range(1, rule.max_iter + 1):
-        if est_state is not None and k >= 2:
-            est_state.x, est_state.z, est_state.lam, est_state.ax = x_cur, z_cur, lam_cur, ax_last
-            est_state.gamma, est_state.k = gamma, k - 1
-            new_gamma = _tuner.estimate_step(est_state, plan)
+    traced = {"sigma": [sigma.copy()], "y_one": [None]} if trace else None
+    # tol = inf is met by the start itself: no sweep runs
+    iterations_to_tol = 0 if math.isinf(rule.tol) else None
+    max_iter = 0 if math.isinf(rule.tol) else rule.max_iter
+    # the estimator reads one state per run, refreshed in place each sweep
+    state = SolverState(x=None, z=None, lam=None, gamma=gamma) if plan.mode == _tuner.ESTIMATED else None
+    for k in range(1, max_iter + 1):
+        if state is not None and k >= 2:
+            state.x, state.z, state.lam, state.ax = x, z, lam, ax
+            state.gamma, state.k = gamma, k - 1
+            new_gamma = _tuner.estimate_step(state, plan)
             if new_gamma != gamma:
                 gamma = new_gamma
                 rg = math.sqrt(gamma)
-                sigma = ax_last + lam_last / gamma
-        sigma_new, x, z, y_half, y_one = _drs_sweep(sigma, spec, gamma, theta)
+                sigma = ax + lam / gamma
+        sigma_new, x, z, y_half, ax = _drs_sweep(sigma, spec, gamma, theta)
         # sigma is finite, so a non-finite entry of sigma_new makes step_norm
         # non-finite: the full scan is needed only then (an overflowing norm
         # of finite entries is recorded as an infinite residue)
@@ -341,29 +312,23 @@ def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
         step_norm = math.sqrt(step @ step)
         if not math.isfinite(step_norm) and not np.all(np.isfinite(sigma_new)):
             raise ArithmeticError(f"non-finite iterate at sweep {k}")
-        lam_cur = gamma * (sigma - y_half)
+        lam = gamma * (sigma - y_half)
         residue = rg * step_norm
-        gap = y_one - y_half
+        gap = ax - y_half
         rows.append((k, gamma, residue, spec.eval_objective(x, z), math.sqrt(gap @ gap)))
-        x_cur, z_cur = x, z
-        ax_last, lam_last = y_one, lam_cur
         sigma = sigma_new
-        k_done = k
         if trace:
-            sig_trace.append(sigma_new.copy())
-            y_trace.append(y_one.copy())
+            traced["sigma"].append(sigma_new.copy())
+            traced["y_one"].append(ax.copy())
         if residue <= rule.tol:
             iterations_to_tol = k
-            converged = True
             break
 
     return RunRecord(
-        plan=plan.describe(), rows=rows, iterations=k_done,
-        iterations_to_tol=iterations_to_tol, converged=converged,
+        plan=plan.describe(), rows=rows, iterations=len(rows),
+        iterations_to_tol=iterations_to_tol, converged=iterations_to_tol is not None,
         wall_time=time.perf_counter() - t0, final_gamma=gamma,
-        x=x_cur, z=z_cur, lam=lam_cur, ax=ax_last,
-        zeta_unscaled=rg * sigma,
-        trace={"sigma": sig_trace, "y_one": y_trace} if trace else None,
+        x=x, z=z, lam=lam, ax=ax, zeta_unscaled=rg * sigma, trace=traced,
     )
 
 
@@ -412,29 +377,23 @@ def _fmt_gamma(v):
     return "undefined (zero denominator)" if v is None else f"{v:.12g}"
 
 
-def contradiction_demo(spec: ProblemSpec, zeta0=None, *, ax_star=None,
-                       lambda_star=None, rule: TerminationRule = None) -> ContradictionReport:
+def contradiction_demo(spec: ProblemSpec, zeta0=None, *, ax_star,
+                       lambda_star) -> ContradictionReport:
     """Contrast naive single-gamma matching with the quadratic substitution.
 
     Matching the starting vector directly against either fixed-point family
     gives two least-squares step sizes that in general disagree or come out
     nonpositive; the substitution ``gamma = alpha**2`` always yields a valid
-    optimum.  The solution pair is taken from ``ax_star`` and ``lambda_star``
-    when given, otherwise computed by a high-accuracy reference run (zero
-    start, gamma 1).
+    optimum.  The solution pair ``ax_star``, ``lambda_star`` (for a
+    generated instance, from ``problems.compute_oracle``) and ``zeta0``
+    must have the constraint length ``spec.p``.
     """
-    if (ax_star is None) != (lambda_star is None):
-        raise ValueError("pass both ax_star and lambda_star, or neither")
-    if ax_star is None:
-        if rule is None:
-            rule = TerminationRule(tol=1e-10, max_iter=200_000)
-        ref = solve(spec, _tuner.StepSizePlan.fixed(1.0), init=None, rule=rule)
-        ax_star, lambda_star = ref.ax, ref.lam
     ax = np.asarray(ax_star, dtype=float).ravel()
     lam = np.asarray(lambda_star, dtype=float).ravel()
-    z0 = np.zeros(ax.size) if zeta0 is None else np.asarray(zeta0, dtype=float).ravel()
-    if not (ax.size == lam.size == z0.size):
-        raise ValueError("ax_star, lambda_star, and zeta0 must have one common length")
+    z0 = np.zeros(spec.p) if zeta0 is None else np.asarray(zeta0, dtype=float).ravel()
+    if not (ax.size == lam.size == z0.size == spec.p):
+        raise ValueError(f"ax_star, lambda_star and zeta0 must have length {spec.p}, "
+                         f"got {ax.size}, {lam.size} and {z0.size}")
     # a zero ax_star or lambda_star raises DegenerateProblemError here
     coeffs = _tuner.build_coefficients(ax, lam, None if zeta0 is None else z0)
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import ProblemSpec, TerminationRule, solve
-from .prox import _shifted_solver, _wide_gram_solver, catalog_prox
+from .prox import _check_full_rank, _shifted_solver, _wide_gram_solver, catalog_prox
 from . import tuner
 
 __all__ = [
@@ -145,7 +145,10 @@ def _z_step(handle):
 
 def _pinv_step(A):
     """``prox_f`` for f = 0 and a full-column-rank ``A``: ``x = A^+ w`` at every g."""
-    A_pinv = np.linalg.pinv(A)
+    # one thin SVD checks the rank and forms A^+, so the spec skips its rank check
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    _check_full_rank(s, A.shape[1], "constraint matrix A does not have full column rank")
+    A_pinv = Vt.T @ ((1.0 / s)[:, None] * U.T)
     A_pinv.setflags(write=False)
     return lambda w, g: A_pinv @ w
 
@@ -223,7 +226,8 @@ def _spec_lad(dims, data, params):
     def objective(x, z):
         return float(np.abs(z).sum())
 
-    return ProblemSpec(_pinv_step(A), _z_step(catalog_prox("l1", dim=b.size)), objective, A=A, c=b)
+    return ProblemSpec(_pinv_step(A), _z_step(catalog_prox("l1", dim=b.size)), objective,
+                       A=A, c=b, rank_check=False)
 
 
 def _draw_huber(rng, dims, params):
@@ -247,7 +251,8 @@ def _spec_huber(dims, data, params):
         a = np.abs(z)
         return float(np.where(a <= 1.0, 0.5 * z * z, a - 0.5).sum())
 
-    return ProblemSpec(_pinv_step(A), _z_step(catalog_prox("huber", dim=b.size)), objective, A=A, c=b)
+    return ProblemSpec(_pinv_step(A), _z_step(catalog_prox("huber", dim=b.size)), objective,
+                       A=A, c=b, rank_check=False)
 
 
 def _draw_bp(rng, dims, params):

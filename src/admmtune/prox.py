@@ -143,8 +143,7 @@ def translate_new_to_classical(handle: ProxHandle) -> ProxHandle:
         raise ValueError(f"expected a {NEW} handle, got {handle.convention}")
 
     def evaluate(v, gamma):
-        if not gamma > 0.0:
-            raise ValueError(f"penalty gamma must be positive, got {gamma}")
+        _require_positive(gamma)
         s = np.sqrt(gamma)
         return s * handle.evaluate(v / s, s)
 
@@ -382,10 +381,6 @@ def _entry_huber(dim, delta=1.0, weight=1.0):
         return np.where(np.abs(v) <= delta * (1.0 + t), quad, lin)
 
     return ProxHandle(evaluate, CLASSICAL, int(dim))
-
-
-def _difference_apply(x):
-    return x[1:] - x[:-1]
 
 
 def _difference_apply_t(w, n):

@@ -99,6 +99,16 @@ def _require_finite(name, v):
         raise ValueError(f"{name} must be finite")
 
 
+# as a decorator, errstate costs a fraction of the with-statement form
+@np.errstate(over="ignore")
+def _squared_norm(v, what):
+    """``v @ v`` as a float; ValueError naming ``what`` when it overflows or is not finite."""
+    nrm2 = float(v @ v)
+    if not math.isfinite(nrm2):
+        raise ValueError(f"{what} must be finite, got squared norm {nrm2!r}")
+    return nrm2
+
+
 def build_coefficients(ax_star, lambda_star, zeta0=None) -> QuarticCoefficients:
     """Assemble the quartic for a given solution pair and starting point.
 
@@ -121,7 +131,8 @@ def build_coefficients(ax_star, lambda_star, zeta0=None) -> QuarticCoefficients:
     Raises
     ------
     ValueError
-        If ``ax_star`` or ``lambda_star`` has a non-finite entry.
+        If ``ax_star`` or ``lambda_star`` has a non-finite entry or a
+        squared norm that overflows.
     DegenerateProblemError
         If ``ax_star`` or ``lambda_star`` is numerically zero.
     """
@@ -133,8 +144,8 @@ def build_coefficients(ax_star, lambda_star, zeta0=None) -> QuarticCoefficients:
         )
     _require_finite("ax_star", ax)
     _require_finite("lambda_star", lam)
-    ax_nrm2 = float(ax @ ax)
-    lam_nrm2 = float(lam @ lam)
+    ax_nrm2 = _squared_norm(ax, "coefficient a")
+    lam_nrm2 = _squared_norm(lam, "coefficient e")
     if not ax_nrm2 > 0.0:
         raise DegenerateProblemError("ax_star is zero; the quartic has no positive root")
     if not lam_nrm2 > 0.0:
@@ -157,35 +168,47 @@ def _biquadratic_root(a: float, e: float) -> float:
 def _ferrari_roots(a: float, b: float, d: float, e: float):
     """All four roots of a*x^4 + b*x^3 + d*x + e by radicals.
 
-    Returns an empty list when the formulas hit a branch point (the caller
-    falls back to a companion-matrix solve).
+    Returns an empty list when the formulas hit a branch point, overflow,
+    or lose a root to cancellation (the caller falls back to a
+    companion-matrix solve).
     """
-    bd4ae = b * d - 4.0 * a * e
-    u1 = 0.5 * math.sqrt(27.0) * (a * d * d + b * b * e)
-    u2 = u1 + cmath.sqrt(complex(bd4ae**3 + u1 * u1))
-    if u2 == 0:
+    try:
+        bd4ae = b * d - 4.0 * a * e
+        u1 = 0.5 * math.sqrt(27.0) * (a * d * d + b * b * e)
+        u2 = u1 + cmath.sqrt(complex(bd4ae**3 + u1 * u1))
+        if u2 == 0:
+            return []
+        cbrt = u2 ** (1.0 / 3.0)
+        u3 = (cbrt - bd4ae / cbrt) / (math.sqrt(3.0) * a)
+        b2a = b / (2.0 * a)
+        u4 = cmath.sqrt(b2a * b2a + u3)
+        if abs(u4) <= 1e-14 * (1.0 + abs(b2a)):
+            return []
+        u5 = 2.0 * b2a * b2a - u3
+        u6 = -(8.0 * b2a**3 + 8.0 * d / a) / (4.0 * u4)
+        s1 = cmath.sqrt(u5 - u6)
+        s2 = cmath.sqrt(u5 + u6)
+    except OverflowError:
         return []
-    cbrt = u2 ** (1.0 / 3.0)
-    u3 = (cbrt - bd4ae / cbrt) / (math.sqrt(3.0) * a)
-    b2a = b / (2.0 * a)
-    u4 = cmath.sqrt(b2a * b2a + u3)
-    if abs(u4) <= 1e-14 * (1.0 + abs(b2a)):
-        return []
-    u5 = 2.0 * b2a * b2a - u3
-    u6 = -(8.0 * b2a**3 + 8.0 * d / a) / (4.0 * u4)
-    s1 = cmath.sqrt(u5 - u6)
-    s2 = cmath.sqrt(u5 + u6)
-    return [
+    roots = [
         0.5 * (-b2a - u4 - s1),
         0.5 * (-b2a - u4 + s1),
         0.5 * (-b2a + u4 - s2),
         0.5 * (-b2a + u4 + s2),
     ]
+    # the roots multiply to e/a unless cancellation has lost one of them
+    if abs(roots[0] * roots[1] * roots[2] * roots[3] - e / a) > 1e-6 * abs(e / a):
+        return []
+    return roots
 
 
+@np.errstate(over="ignore")
 def _companion_roots(a: float, b: float, d: float, e: float):
-    """Eigenvalue fallback for the rare branch-point inputs."""
-    return list(np.roots([a, b, 0.0, d, e]))
+    """Eigenvalue fallback for the rare branch-point inputs; empty when the companion matrix overflows."""
+    try:
+        return list(np.roots([a, b, 0.0, d, e]))
+    except np.linalg.LinAlgError:
+        return []
 
 
 def _polish(alpha: float, c: QuarticCoefficients, scale: float) -> float:
@@ -220,7 +243,9 @@ def solve_quartic(coefficients: QuarticCoefficients) -> float:
     Returns
     -------
     float
-        A positive root with ``|p(root)| <= 1e-9 * max(|a|,|b|,|d|,|e|)``.
+        A positive root with ``|p(root)| <= 1e-9 * max(|a|, |b|, |d|, |e|, m)``,
+        where ``m = a*root**4 + |b|*root**3 + |d|*root + |e|`` is the size
+        of the terms that cancel in ``p(root)``.
         In the rare case of several positive roots, the one minimizing the
         distance objective ``coefficients.objective`` is returned.
 
@@ -264,7 +289,9 @@ def _positive_real(roots, c: QuarticCoefficients, scale: float):
         if alpha <= 0.0:
             continue
         alpha = _polish(alpha, c, scale)
-        if alpha > 0.0 and abs(c.poly(alpha)) <= 1e-9 * scale:
+        # far from 1, p(alpha) cancels terms larger than the coefficients
+        terms = ((c.a * alpha + abs(c.b)) * alpha * alpha + abs(c.d)) * alpha + abs(c.e)
+        if alpha > 0.0 and abs(c.poly(alpha)) <= 1e-9 * max(scale, terms):
             out.append(alpha)
     out.sort()
     merged = []

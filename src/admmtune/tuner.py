@@ -19,6 +19,7 @@ from .quartic import (
     DegenerateProblemError,
     _biquadratic_root,
     _require_finite,
+    _squared_norm,
     build_coefficients,
     optimal_gamma,
     solve_quartic,
@@ -43,6 +44,13 @@ ORACLE = "oracle"
 
 # iterate norms below this are treated as still-degenerate; keep the old gamma
 _DEGENERATE_NORM = 1e-12
+
+
+def _check_gamma(name, value):
+    """Raise ValueError unless the step size ``value`` is positive and finite with a finite reciprocal."""
+    # the engine divides by gamma, so its reciprocal must be finite too
+    if not (0.0 < value < math.inf and math.isfinite(1.0 / float(value))):
+        raise ValueError(f"{name} must be positive and finite with a finite reciprocal, got {value}")
 
 
 @dataclass(frozen=True)
@@ -82,10 +90,7 @@ class StepSizePlan:
     def __post_init__(self):
         if self.mode not in (FIXED, ESTIMATED, ORACLE):
             raise ValueError(f"unknown plan mode {self.mode!r}")
-        # the engine divides by gamma, so its reciprocal must be finite too
-        if not (0.0 < self.gamma0 < math.inf and math.isfinite(1.0 / float(self.gamma0))):
-            raise ValueError(
-                f"gamma0 must be positive and finite with a finite reciprocal, got {self.gamma0}")
+        _check_gamma("gamma0", self.gamma0)
         if not (math.isfinite(self.update_threshold) and self.update_threshold >= 0.0):
             raise ValueError(
                 f"update_threshold must be nonnegative and finite, got {self.update_threshold}")
@@ -155,12 +160,9 @@ def gamma_zero_init(ax_star, lambda_star) -> float:
     lam = np.asarray(lambda_star, dtype=float).ravel()
     _require_finite("ax_star", ax)
     _require_finite("lambda_star", lam)
-    with np.errstate(over="ignore"):
-        ax_nrm2 = float(ax @ ax)
-        lam_nrm2 = float(lam @ lam)
     # the quartic route rejects the same overflowing squares
-    if not (math.isfinite(ax_nrm2) and math.isfinite(lam_nrm2)):
-        raise ValueError(f"squared norms must be finite, got {ax_nrm2!r} and {lam_nrm2!r}")
+    ax_nrm2 = _squared_norm(ax, "||ax_star||^2")
+    lam_nrm2 = _squared_norm(lam, "||lambda_star||^2")
     if ax_nrm2 == 0.0:
         raise DegenerateProblemError("ax_star is zero; the optimal step size is undefined")
     if lam_nrm2 == 0.0:
@@ -213,16 +215,12 @@ def estimate_step(state, plan: StepSizePlan) -> float:
         return current
     ax = np.asarray(state.ax if state.ax is not None else state.x, dtype=float).ravel()
     lam = np.asarray(state.lam, dtype=float).ravel()
-    ax2 = float(ax @ ax)
-    lam2 = float(lam @ lam)
+    # the quartic's b = d = 0 case: a = ||A x||^2 and e = -||lam||^2 are
+    # its whole input, checked as build_coefficients checks them
+    ax2 = _squared_norm(ax, "coefficient a")
+    lam2 = _squared_norm(lam, "coefficient e")
     if math.sqrt(ax2) < _DEGENERATE_NORM or math.sqrt(lam2) < _DEGENERATE_NORM:
         return current
-    # the quartic's b = d = 0 case: a = ||A x||^2 and e = -||lam||^2 are
-    # its whole input, checked as QuarticCoefficients checks them
-    if not math.isfinite(ax2):
-        raise ValueError(f"coefficient a must be finite, got {ax2!r}")
-    if not math.isfinite(lam2):
-        raise ValueError(f"coefficient e must be finite, got {-lam2!r}")
     alpha = _biquadratic_root(ax2, -lam2)
     new = alpha * alpha
     if plan.update_threshold > 0.0 and abs(new - current) <= plan.update_threshold * current:

@@ -284,7 +284,7 @@ def test_generate_exports_without_building_a_solver(tmp_path, monkeypatch):
              for kind in KINDS}
     monkeypatch.setattr(prox, "eigh", _refuse)
     monkeypatch.setattr(prox, "svd", _refuse)
-    monkeypatch.setattr(np.linalg, "pinv", _refuse)
+    monkeypatch.setattr(np.linalg, "svd", _refuse)
     with pytest.raises(AssertionError):
         generate("lasso", profile="desk", seed=2)
     out = tmp_path / "gen"

@@ -282,3 +282,25 @@ def test_contradiction_handles_vanishing_denominator():
     # a zero ax_star leaves the dual-view quotient undefined
     with pytest.raises(at.DegenerateProblemError):
         contradiction_demo(spec, ax_star=np.zeros(6), lambda_star=np.ones(6))
+
+
+def test_contradiction_needs_the_solution_pair_at_the_constraint_length():
+    spec = small_spec(seed=15)
+    with pytest.raises(TypeError):
+        contradiction_demo(spec)
+    with pytest.raises(TypeError):
+        contradiction_demo(spec, ax_star=np.ones(6))
+    with pytest.raises(ValueError, match="length 6"):
+        contradiction_demo(spec, ax_star=np.ones(5), lambda_star=np.ones(5))
+    with pytest.raises(ValueError, match="length 6"):
+        contradiction_demo(spec, np.ones(5), ax_star=np.ones(6), lambda_star=np.ones(6))
+
+
+def test_solve_checks_the_oracle_step_size_as_a_fixed_one():
+    spec = small_spec()
+    e1 = np.eye(6)[0]
+    # a = 1e300, b = -1, d = e = 1e-300: the quartic's root squares to 0.0
+    plan = StepSizePlan.oracle(1e150 * e1, 1e-150 * e1, 1e-150 * e1)
+    assert at.gamma_general(plan.ax_star, plan.lambda_star, plan.zeta0) == 0.0
+    with pytest.raises(ValueError, match="initial gamma must be positive and finite"):
+        solve(spec, plan)

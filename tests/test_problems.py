@@ -228,6 +228,22 @@ def test_paper_profile_dimensions_differ():
     assert PROFILES["lasso"]["paper"]["n"] > PROFILES["lasso"]["desk"]["n"]
 
 
+def test_lad_and_huber_rank_check_rides_on_the_pseudoinverse_svd(monkeypatch):
+    calls = []
+    real = at.engine.svdvals
+
+    def counting(M):
+        calls.append(M.shape)
+        return real(M)
+
+    monkeypatch.setattr(at.engine, "svdvals", counting)
+    for kind in ("lad", "huber"):
+        generate(kind, profile="desk", seed=ACCEPT_SEEDS[kind])
+    assert calls == []
+    with pytest.raises(ValueError, match="full column rank"):
+        at.problems._pinv_step(np.ones((4, 2)))
+
+
 def test_acceptance_seeds_cover_all_kinds():
     assert set(ACCEPT_SEEDS) == set(KINDS)
 

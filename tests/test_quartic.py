@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admmtune import (
     DegenerateProblemError,
@@ -119,3 +121,59 @@ def test_root_invariant_under_joint_rescaling():
     for t in (0.01, 0.5, 40.0):
         scaled = solve_quartic(build_coefficients(t * u, t * v, t * w))
         assert scaled == pytest.approx(base, rel=1e-10)
+
+
+def dense_bisection_roots(c, points=4000):
+    """Every sign change of p on a log grid spanning the positive-root bounds, bisected."""
+    hi = 2.0 * (1.0 + max(abs(c.b), abs(c.d), abs(c.e)) / c.a)
+    lo = 0.5 * abs(c.e) / (abs(c.e) + max(c.a, abs(c.b), abs(c.d)))
+    grid = np.geomspace(lo, hi, points)
+    p = c.poly(grid)
+    roots = []
+    for i in np.flatnonzero(np.sign(p[:-1]) != np.sign(p[1:])):
+        left, right = grid[i], grid[i + 1]
+        left_negative = c.poly(left) < 0.0
+        for _ in range(200):
+            mid = 0.5 * (left + right)
+            if (c.poly(mid) < 0.0) == left_negative:
+                left = mid
+            else:
+                right = mid
+        roots.append(0.5 * (left + right))
+    return roots
+
+
+# a mantissa in [1, 10) times 10**k: each coefficient spans seven decades
+_MAGNITUDE = st.builds(lambda m, k: m * 10.0 ** k,
+                       st.floats(1.0, 10.0, exclude_max=True), st.integers(-3, 3))
+_SIGN = st.sampled_from([-1.0, 0.0, 1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_MAGNITUDE, b=_MAGNITUDE, d=_MAGNITUDE, e=_MAGNITUDE, sign_b=_SIGN, sign_d=_SIGN)
+def test_root_is_valid_and_minimizes_the_objective(a, b, d, e, sign_b, sign_d):
+    c = QuarticCoefficients(a=a, b=sign_b * b, d=sign_d * d, e=-e)
+    alpha = solve_quartic(c)
+    assert alpha > 0.0
+    # the terms that cancel in p(alpha) bound its rounding error
+    terms = ((c.a * alpha + abs(c.b)) * alpha * alpha + abs(c.d)) * alpha + abs(c.e)
+    assert abs(c.poly(alpha)) <= 1e-9 * max(c.scale(), terms)
+    best = c.objective(alpha)
+    for root in dense_bisection_roots(c):
+        size = c.a * root * root + 2.0 * abs(c.b) * root + 2.0 * abs(c.d) / root + abs(c.e) / (root * root)
+        assert c.objective(root) >= best - 1e-9 * size
+
+
+def test_roots_far_from_one_pass_validation():
+    # the only positive root is ~1408; p there cancels terms of size ~6e11
+    c = QuarticCoefficients(a=0.14248420256061475, b=-200.6931467784062,
+                            d=-0.6292068598559348, e=-86.60249584243542)
+    assert solve_quartic(c) == pytest.approx(bisection_root(c), rel=1e-10)
+    # roots ~2.7e-3, ~0.59 and ~357: the largest minimizes the objective
+    c = QuarticCoefficients(a=0.26599366596845375, b=-95.07795874141935,
+                            d=33.0720416149593, e=-0.08789953846295122)
+    assert solve_quartic(c) == pytest.approx(positive_real_roots(c)[-1], rel=1e-10)
+    # Ferrari's formulas lose the root ~5.7e-7 to cancellation
+    c = QuarticCoefficients(a=0.007498315065860046, b=-5572.346662636607,
+                            d=8647.316038442246, e=-0.004902964699748021)
+    assert solve_quartic(c) == pytest.approx(5.669926573693578e-07, rel=1e-8)

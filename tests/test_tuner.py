@@ -39,6 +39,8 @@ def test_zero_start_rejects_degenerate_vectors():
     # squared norms that overflow, which the quartic route rejects too
     with pytest.raises(ValueError, match="must be finite"):
         gamma_zero_init([1e200] * 2, [1e200] * 2)
+    with pytest.raises(ValueError, match="coefficient a must be finite"):
+        gamma_general([1e200] * 2, [1e200] * 2)
 
 
 def test_matched_start_vector_is_a_root():
@@ -241,11 +243,18 @@ def test_zero_start_estimate_is_the_gamma_general_bits():
 def test_estimate_step_overflowing_iterates_raise():
     plan = StepSizePlan.estimated()
     big = SolverState(x=np.full(4, 1e200), z=np.ones(4), lam=np.ones(4), gamma=1.0, k=2)
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="coefficient a must be finite"):
+    with pytest.raises(ValueError, match="coefficient a must be finite"):
         estimate_step(big, plan)
     big = SolverState(x=np.ones(4), z=np.ones(4), lam=np.full(4, 1e200), gamma=1.0, k=2)
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="coefficient e must be finite"):
+    with pytest.raises(ValueError, match="coefficient e must be finite"):
         estimate_step(big, plan)
+
+
+def test_overflowing_quartic_raises_arithmetic_error():
+    # a = 1e-300 and b*d = -1e300: the radical formulas and the companion
+    # matrix both overflow
+    with pytest.raises(ArithmeticError, match="no positive real root"):
+        gamma_general([1e-150], [1e150], [1e150])
 
 
 def _gamma_general_estimate(state, plan):
