@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import svdvals
+from numpy.linalg import svd
 
 from . import tuner as _tuner
 from .prox import _check_full_rank
@@ -56,7 +56,8 @@ class ProblemSpec:
         Constraint map for z, shape (p, m).  None means minus the identity
         (m = p).
     c : ndarray or None
-        Right-hand side, shape (p,).  None means zero.
+        Right-hand side, shape (p,).  None means zero.  A, B and c must be
+        finite (ValueError otherwise).
     n, m, p : int or None
         Dimensions; required only when not inferable from A, B, c.
     rank_check : bool
@@ -108,11 +109,14 @@ class ProblemSpec:
             raise ValueError(f"m={m} contradicts B with {self.B.shape[1]} columns")
 
         self.c = np.zeros(self.p) if c is None else c
+        for name, M in (("A", self.A), ("B", self.B), ("c", self.c)):
+            if M is not None:
+                _require_finite(name, M)
         if rank_check:
             for name, M in (("A", self.A), ("B", self.B)):
                 if M is None:
                     continue
-                _check_full_rank(svdvals(M), M.shape[1],
+                _check_full_rank(svd(M, compute_uv=False), M.shape[1],
                                  f"constraint matrix {name} does not have full column rank")
 
     def apply_A(self, x):

@@ -25,7 +25,11 @@ over one m x n matrix.  ``affine_set`` and a constrained ``quad_affine``
 split space along one SVD of the constraint matrix: ``affine_set``
 projects with its row-space basis, ``quad_affine`` solves in its null
 space.  Handles hold only read-only arrays and are safe to share across
-threads.
+threads.  An entry rejects matrix or vector data holding NaN or inf with
+ValueError before it decomposes anything.
+
+The module needs numpy alone: ``tv_quad`` is the only entry that imports
+scipy (for its banded solve), and it does so when its handle is built.
 """
 
 from __future__ import annotations
@@ -33,8 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import eigh
-from scipy.linalg import solveh_banded, svd
+from numpy.linalg import eigh, svd
+
+from .quartic import _require_finite
 
 __all__ = [
     "CLASSICAL",
@@ -238,7 +243,12 @@ def _affine_frame(A, b, full_matrices):
     The first p rows of ``Vt`` span the row space of the p x n matrix ``A``;
     with ``full_matrices`` the remaining n - p span its null space.
     """
+    _require_finite("A", A)
+    _require_finite("b", b)
     U, s, Vt = svd(A, full_matrices=full_matrices)
+    # LAPACK's column-major layout: the later matrix-vector products round
+    # differently on a C-ordered copy
+    U, Vt = np.asfortranarray(U), np.asfortranarray(Vt)
     p = A.shape[0]
     _check_full_rank(s, p, f"constraint matrix A ({p} x {A.shape[1]}) does not have full row rank")
     x0 = Vt[:p].T @ ((U.T @ b) / s)
@@ -305,6 +315,7 @@ def _entry_quad_affine(P, q=None, A=None, b=None):
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError(f"P must be square, got shape {P.shape}")
+    _require_finite("P", P)
     n = P.shape[0]
     asym = np.max(np.abs(P - P.T))
     if asym > 1e-10 * max(1.0, np.max(np.abs(P))):
@@ -312,6 +323,7 @@ def _entry_quad_affine(P, q=None, A=None, b=None):
     q = np.zeros(n) if q is None else np.asarray(q, dtype=float).ravel()
     if q.size != n:
         raise ValueError(f"q must have length {n}, got {q.size}")
+    _require_finite("q", q)
     if A is None:
         if b is not None:
             raise ValueError("b given without A")
@@ -346,6 +358,8 @@ def _entry_lstsq(A, b):
     b = np.asarray(b, dtype=float).ravel()
     if A.ndim != 2 or A.shape[0] != b.size:
         raise ValueError(f"need A (m, n) and b (m,), got {A.shape} and {b.shape}")
+    _require_finite("A", A)
+    _require_finite("b", b)
     m, n = A.shape
     atb = A.T @ b
     if m >= n:
@@ -407,10 +421,13 @@ def _entry_tv_quad(n, target=None):
     u = np.zeros(n - 1) if target is None else np.asarray(target, dtype=float).ravel()
     if u.size != n - 1:
         raise ValueError(f"target must have length {n - 1}, got {u.size}")
+    _require_finite("target", u)
 
     # O(n) per call with no factorization kept, so nothing grows with the
     # number of distinct penalties
     shift = _difference_apply_t(u, n)
+    # the one scipy import, kept off the package's import path, where it more than doubled the time
+    from scipy.linalg import solveh_banded
 
     def evaluate(v, gamma):
         _require_positive(gamma)
@@ -429,6 +446,7 @@ def _entry_logdet_quad(n, S=None):
         S = np.asarray(S, dtype=float)
         if S.shape != (n, n):
             raise ValueError(f"S must be ({n}, {n}), got {S.shape}")
+        _require_finite("S", S)
         if np.max(np.abs(S - S.T)) > 1e-10 * max(1.0, np.max(np.abs(S))):
             raise ValueError("S must be symmetric")
 
@@ -480,8 +498,17 @@ def catalog_prox(kind: str, **params) -> ProxHandle:
         ``A A^T`` into ``A``, so a call is two passes over one m x n matrix;
         ``affine_set`` takes one thin SVD of ``A`` here and projects with
         two passes over its p x n row-space basis; ``tv_quad`` solves its
-        tridiagonal system per call.  No handle writes to the data it holds,
-        so every handle may be shared across threads.
+        tridiagonal system per call with ``scipy.linalg.solveh_banded``,
+        imported when the handle is built; every other entry uses numpy
+        alone.  No handle writes to the data it holds, so every handle may be
+        shared across threads.
+
+    Raises
+    ------
+    ValueError
+        For an unknown kind or parameters of the wrong shape, sign or rank,
+        and, before any decomposition, for data A, b, P, q, S or target
+        holding NaN or inf (box bounds may be infinite).
     """
     try:
         builder = _CATALOG[kind]

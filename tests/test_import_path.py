@@ -1,0 +1,54 @@
+"""The package runs every zoo family without importing scipy.
+
+scipy roughly doubles the cold import of ``admmtune``; only the catalog's
+``tv_quad`` entry, which no zoo family builds, imports it.  The check runs in
+a fresh interpreter, because the test session itself may have loaded scipy.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+PROGRAM = """
+import sys
+
+import numpy as np
+
+import admmtune
+import admmtune.cli
+from admmtune import KINDS, PROX_KINDS, StepSizePlan, TerminationRule, catalog_prox, generate, solve
+
+for kind in KINDS:
+    rec = solve(generate(kind, profile="desk", seed=0).spec, StepSizePlan.estimated(),
+                rule=TerminationRule(tol=1e-300, max_iter=5))
+    assert rec.iterations == 5, (kind, rec.iterations)
+
+rng = np.random.default_rng(0)
+P = rng.normal(size=(5, 5))
+entries = {
+    "l1": dict(dim=4),
+    "nonneg": dict(dim=4),
+    "box": dict(dim=4, lower=-1.0, upper=1.0),
+    "affine_set": dict(A=rng.normal(size=(2, 5)), b=rng.normal(size=2)),
+    "quad_affine": dict(P=P @ P.T, q=rng.normal(size=5), A=rng.normal(size=(2, 5)), b=rng.normal(size=2)),
+    "lstsq": dict(A=rng.normal(size=(3, 5)), b=rng.normal(size=3)),
+    "huber": dict(dim=4),
+    "logdet_quad": dict(n=3),
+}
+assert set(entries) == set(PROX_KINDS) - {"tv_quad"}
+for kind, params in entries.items():
+    catalog_prox(kind, **params)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_package_runs_the_zoo_without_importing_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", PROGRAM], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import admmtune.engine as engine_mod
 import admmtune.prox as prox_mod
 from admmtune import (
     CLASSICAL,
     NEW,
     PROX_KINDS,
     ConjugatePair,
+    ProblemSpec,
     ProxHandle,
     catalog_prox,
     moreau_complement,
@@ -490,3 +492,76 @@ def test_handle_validates_inputs():
         ProxHandle(lambda v, t: v, "sideways", 3)
     with pytest.raises(ValueError):
         catalog_prox("l1", dim=5, weight=-1.0)
+
+
+@st.composite
+def _catalog_points(draw):
+    """A catalog handle from ``HANDLES``, two points of its dimension and a log-uniform scale."""
+    name = draw(st.sampled_from(sorted(HANDLES)))
+    points = arrays(np.float64, HANDLES[name].dim, elements=st.floats(-100.0, 100.0))
+    return name, draw(points), draw(points), 10.0 ** draw(st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_catalog_points())
+def test_catalog_handles_are_firmly_nonexpansive(case):
+    name, x, y, gamma = case
+    handle = HANDLES[name]
+    d = handle(x, gamma) - handle(y, gamma)
+    slack = 1e-10 * (1.0 + x @ x + y @ y)
+    assert d @ (x - y) >= d @ d - slack, name
+
+
+@settings(max_examples=400, deadline=None)
+@given(_catalog_points(), st.booleans())
+def test_catalog_handles_satisfy_the_moreau_identity(case, negative):
+    name, v, _, scale = case
+    rho = -scale if negative else scale
+    pair = ConjugatePair.from_primal(translate_classical_to_new(HANDLES[name]))
+    gap = pair.primal(v, rho) + pair.conjugate(v, 1.0 / rho) - v
+    assert np.max(np.abs(gap)) <= 1e-9 * (1.0 + np.max(np.abs(v))), name
+
+
+def _finite_build_data(entry):
+    rng = np.random.default_rng(8)
+    return {
+        "spec": dict(A=rng.normal(size=(4, 3)), B=rng.normal(size=(4, 2)), c=rng.normal(size=4)),
+        "affine_set": dict(A=rng.normal(size=(2, 4)), b=rng.normal(size=2)),
+        "quad_affine": dict(P=np.eye(4), q=rng.normal(size=4), A=rng.normal(size=(2, 4)),
+                            b=rng.normal(size=2)),
+        "lstsq": dict(A=rng.normal(size=(3, 5)), b=rng.normal(size=3)),
+        "logdet_quad": dict(n=3, S=np.eye(3)),
+        "tv_quad": dict(n=5, target=rng.normal(size=4)),
+    }[entry]
+
+
+def _build(entry, data):
+    if entry == "spec":
+        return ProblemSpec(lambda w, g: w, lambda w, g: w, **data)
+    return catalog_prox(entry, **data)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("non-finite data reached a decomposition")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("entry, field", [
+    ("spec", "A"), ("spec", "B"), ("spec", "c"),
+    ("affine_set", "A"), ("affine_set", "b"),
+    ("quad_affine", "P"), ("quad_affine", "q"), ("quad_affine", "A"), ("quad_affine", "b"),
+    ("lstsq", "A"), ("lstsq", "b"),
+    ("logdet_quad", "S"),
+    ("tv_quad", "target"),
+])
+def test_builds_reject_non_finite_data(monkeypatch, entry, field, bad):
+    data = _finite_build_data(entry)
+    _build(entry, data)
+    # an SVD of a matrix holding inf can run for minutes, so none may start
+    for module, name in ((prox_mod, "svd"), (prox_mod, "eigh"), (engine_mod, "svd"),
+                         (np.linalg, "svd"), (np.linalg, "eigh")):
+        monkeypatch.setattr(module, name, _refuse)
+    data[field] = data[field].copy()
+    data[field].flat[0] = bad  # a diagonal entry, so P and S stay symmetric
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        _build(entry, data)
