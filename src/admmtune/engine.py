@@ -161,8 +161,8 @@ class TerminationRule:
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive (inf allowed), got {self.tol}")
-        if not (isinstance(self.max_iter, int) and self.max_iter >= 0):
-            raise ValueError(f"max_iter must be a nonnegative integer, got {self.max_iter!r}")
+        if isinstance(self.max_iter, bool) or not (isinstance(self.max_iter, int) and self.max_iter >= 0):
+            raise ValueError(f"max_iter must be a nonnegative integer (not a bool), got {self.max_iter!r}")
         if not 0.0 < self.theta < 1.0:
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
 
@@ -204,14 +204,26 @@ class RunRecord:
         return None
 
 
-def _drs_sweep(sigma, spec, gamma, theta):
-    """One averaged fixed-point sweep on the scaled vector sigma."""
-    z = spec.prox_g(spec.c - sigma, gamma)
-    y_half = spec.c - spec.apply_B(z)
-    x = spec.prox_f(2.0 * y_half - sigma, gamma)
-    y_one = spec.apply_A(x)
-    sigma_new = sigma + 2.0 * theta * (y_one - y_half)
-    return sigma_new, x, z, y_half, y_one
+def _drs_sweep(spec, theta):
+    """The averaged fixed-point sweep of ``spec`` as ``sweep(sigma, gamma)``.
+
+    ``sweep`` returns ``(sigma_new, x, z, y_half, y_one, gap)`` with
+    ``gap = y_one - y_half``, which both the update of the scaled vector and
+    the infeasibility column read.
+    """
+    prox_f, prox_g, A, B, c = spec.prox_f, spec.prox_g, spec.A, spec.B, spec.c
+    two_theta = 2.0 * theta
+
+    def sweep(sigma, gamma):
+        z = prox_g(c - sigma, gamma)
+        # B = None is minus the identity: c - (-z) is c + z in IEEE arithmetic
+        y_half = c + z if B is None else c - B @ z
+        x = prox_f(2.0 * y_half - sigma, gamma)
+        y_one = x if A is None else A @ x
+        gap = y_one - y_half
+        return sigma + two_theta * gap, x, z, y_half, y_one, gap
+
+    return sweep
 
 
 def drs_step(zeta, spec: ProblemSpec, gamma: float, theta: float = 0.5):
@@ -229,11 +241,11 @@ def drs_step(zeta, spec: ProblemSpec, gamma: float, theta: float = 0.5):
     if zeta.size != spec.p:
         raise ValueError(f"zeta must have length {spec.p}, got {zeta.size}")
     _require_finite("zeta", zeta)
-    return _drs_sweep(zeta, spec, gamma, theta)[0]
+    return _drs_sweep(spec, theta)(zeta, gamma)[0]
 
 
 def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
-          trace: bool = False) -> RunRecord:
+          trace: bool = False, *, columns: bool = True) -> RunRecord:
     """Run the splitting solver under a step-size plan.
 
     Parameters
@@ -256,6 +268,12 @@ def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
     trace : bool
         When True the record carries the scaled iterate and primal-image
         sequences (keys "sigma", "y_one") for diagnostics.
+    columns : bool, keyword-only
+        When True (default) each row carries the objective and the
+        infeasibility ``||A x + B z - c||``.  When False both are recorded as
+        nan and ``spec.objective`` is never called; residues, iterates and
+        step sizes keep every bit.  A caller that reads only the iterates,
+        such as a reference run, saves their cost.
 
     Returns
     -------
@@ -271,7 +289,6 @@ def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
     else:
         gamma = float(plan.gamma0)
     _tuner._check_gamma("initial gamma", gamma)
-    theta = rule.theta
     rg = math.sqrt(gamma)
 
     # the newest iterates; ax caches A @ x
@@ -299,6 +316,9 @@ def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
     max_iter = 0 if math.isinf(rule.tol) else rule.max_iter
     # the estimator reads one state per run, refreshed in place each sweep
     state = SolverState(x=None, z=None, lam=None, gamma=gamma) if plan.mode == _tuner.ESTIMATED else None
+    sweep = _drs_sweep(spec, rule.theta)
+    objective = spec.eval_objective if columns else None
+    sigma_new = sigma
     for k in range(1, max_iter + 1):
         if state is not None and k >= 2:
             state.x, state.z, state.lam, state.ax = x, z, lam, ax
@@ -307,8 +327,9 @@ def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
             if new_gamma != gamma:
                 gamma = new_gamma
                 rg = math.sqrt(gamma)
-                sigma = ax + lam / gamma
-        sigma_new, x, z, y_half, ax = _drs_sweep(sigma, spec, gamma, theta)
+                sigma_new = ax + lam / gamma
+        sigma = sigma_new
+        sigma_new, x, z, y_half, ax, gap = sweep(sigma, gamma)
         # sigma is finite, so a non-finite entry of sigma_new makes step_norm
         # non-finite: the full scan is needed only then (an overflowing norm
         # of finite entries is recorded as an infinite residue)
@@ -316,23 +337,29 @@ def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
         step_norm = math.sqrt(step @ step)
         if not math.isfinite(step_norm) and not np.all(np.isfinite(sigma_new)):
             raise ArithmeticError(f"non-finite iterate at sweep {k}")
-        lam = gamma * (sigma - y_half)
         residue = rg * step_norm
-        gap = ax - y_half
-        rows.append((k, gamma, residue, spec.eval_objective(x, z), math.sqrt(gap @ gap)))
-        sigma = sigma_new
+        if state is not None:
+            # the estimator reads lam before the next sweep; other plans
+            # form it once, after the loop
+            lam = gamma * (sigma - y_half)
+        if objective is None:
+            rows.append((k, gamma, residue, math.nan, math.nan))
+        else:
+            rows.append((k, gamma, residue, objective(x, z), math.sqrt(gap @ gap)))
         if trace:
             traced["sigma"].append(sigma_new.copy())
             traced["y_one"].append(ax.copy())
         if residue <= rule.tol:
             iterations_to_tol = k
             break
+    if rows and state is None:
+        lam = gamma * (sigma - y_half)
 
     return RunRecord(
         plan=plan.describe(), rows=rows, iterations=len(rows),
         iterations_to_tol=iterations_to_tol, converged=iterations_to_tol is not None,
         wall_time=time.perf_counter() - t0, final_gamma=gamma,
-        x=x, z=z, lam=lam, ax=ax, zeta_unscaled=rg * sigma, trace=traced,
+        x=x, z=z, lam=lam, ax=ax, zeta_unscaled=rg * sigma_new, trace=traced,
     )
 
 

@@ -360,9 +360,10 @@ def _spec_tv(dims, data, params):
 
     # the constraint map is F, not I, so this x-step is no prox of f alone
     def prox_f(w, g):
+        gw = g * w
         rhs = b.copy()
-        rhs[:-1] -= g * w
-        rhs[1:] += g * w
+        rhs[:-1] -= gw
+        rhs[1:] += gw
         return x_solve(1.0, g, rhs)
 
     def objective(x, z):
@@ -487,12 +488,13 @@ def compute_oracle(instance: ProblemInstance, tol: float = 1e-10,
     """High-accuracy solution pair, cached on the instance.
 
     Runs the solver from the zero start at unit step size until the unscaled
-    residue drops to ``tol``.
+    residue drops to ``tol``.  The run records no objective or infeasibility
+    column, which nothing here reads.
     """
     if instance.oracle is not None and not refresh:
         return instance.oracle
     rec = solve(instance.spec, tuner.StepSizePlan.fixed(1.0), init=None,
-                rule=TerminationRule(tol=tol, max_iter=max_iter))
+                rule=TerminationRule(tol=tol, max_iter=max_iter), columns=False)
     if not rec.converged:
         raise ArithmeticError(
             f"reference run for kind {instance.kind!r} stalled at residue "

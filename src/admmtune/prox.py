@@ -25,8 +25,9 @@ over one m x n matrix.  ``affine_set`` and a constrained ``quad_affine``
 split space along one SVD of the constraint matrix: ``affine_set``
 projects with its row-space basis, ``quad_affine`` solves in its null
 space.  Handles hold only read-only arrays and are safe to share across
-threads.  An entry rejects matrix or vector data holding NaN or inf with
-ValueError before it decomposes anything.
+threads.  An entry rejects matrix or vector data holding NaN or inf, and
+scalar parameters that are NaN, with ValueError before it decomposes
+anything.
 
 The module needs numpy alone: ``tv_quad`` is the only entry that imports
 scipy (for its banded solve), and it does so when its handle is built.
@@ -264,7 +265,7 @@ def _soft_threshold(v, t):
 
 def _entry_l1(dim, weight=1.0):
     weight = float(weight)
-    if weight < 0.0:
+    if not weight >= 0.0:
         raise ValueError(f"weight must be nonnegative, got {weight}")
 
     def evaluate(v, gamma):
@@ -286,7 +287,8 @@ def _entry_box(dim, lower, upper):
     dim = int(dim)
     lo = np.broadcast_to(np.asarray(lower, dtype=float), (dim,)).copy()
     hi = np.broadcast_to(np.asarray(upper, dtype=float), (dim,)).copy()
-    if np.any(lo > hi):
+    # written so that a NaN bound fails; infinite bounds pass
+    if not np.all(lo <= hi):
         raise ValueError("box bounds must satisfy lower <= upper elementwise")
 
     def evaluate(v, gamma):
@@ -342,9 +344,20 @@ def _entry_quad_affine(P, q=None, A=None, b=None):
     Vt, x0 = _affine_frame(A, b, full_matrices=True)
     # x = x0 + N y with x0 = pinv(A) b and N an orthonormal basis of null(A);
     # since N^T x0 = 0, the prox reduces to (I + gamma N^T P N) y = N^T (v - gamma (q + P x0))
+    # no contiguous copy of N or N^T: the products below round differently on one
     N = Vt[A.shape[0]:].T
     c = q + P @ x0
-    solve = _shifted_solver(N.T @ P @ N)
+    H = N.T @ P @ N
+    if not np.any(H):
+        # a zero reduced Hessian (P = 0, as in a linear program): eigh would
+        # give U = I and s = 0 exactly, so the shifted solve is the identity
+        def evaluate(v, gamma):
+            _require_positive(gamma)
+            return x0 + N @ (N.T @ (v - gamma * c))
+
+        return ProxHandle(evaluate, CLASSICAL, n)
+
+    solve = _shifted_solver(H)
 
     def evaluate(v, gamma):
         _require_positive(gamma)
@@ -382,9 +395,9 @@ def _entry_lstsq(A, b):
 def _entry_huber(dim, delta=1.0, weight=1.0):
     delta = float(delta)
     weight = float(weight)
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    if weight < 0.0:
+    if not weight >= 0.0:
         raise ValueError(f"weight must be nonnegative, got {weight}")
 
     def evaluate(v, gamma):
@@ -496,6 +509,8 @@ def catalog_prox(kind: str, **params) -> ProxHandle:
         ``lstsq``) eigendecompose their matrix once, here, and serve every
         penalty value from it; a wide ``lstsq`` folds the eigenbasis of
         ``A A^T`` into ``A``, so a call is two passes over one m x n matrix;
+        a ``quad_affine`` whose reduced Hessian is zero (``P = 0``) skips
+        the eigenbasis altogether;
         ``affine_set`` takes one thin SVD of ``A`` here and projects with
         two passes over its p x n row-space basis; ``tv_quad`` solves its
         tridiagonal system per call with ``scipy.linalg.solveh_banded``,
@@ -507,8 +522,9 @@ def catalog_prox(kind: str, **params) -> ProxHandle:
     ------
     ValueError
         For an unknown kind or parameters of the wrong shape, sign or rank,
-        and, before any decomposition, for data A, b, P, q, S or target
-        holding NaN or inf (box bounds may be infinite).
+        for a NaN weight, delta or box bound, and, before any
+        decomposition, for data A, b, P, q, S or target holding NaN or inf
+        (box bounds may be infinite).
     """
     try:
         builder = _CATALOG[kind]

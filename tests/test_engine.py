@@ -168,6 +168,9 @@ def test_termination_rule_validation():
         TerminationRule(max_iter=-1)
     with pytest.raises(ValueError):
         TerminationRule(max_iter=2.5)
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="not a bool"):
+            TerminationRule(max_iter=flag)
     assert TerminationRule(tol=np.inf).tol == np.inf
     assert TerminationRule(max_iter=0).max_iter == 0
 
@@ -201,6 +204,35 @@ def test_solve_residues_match_stepper():
     # the stepper has no start-of-run baseline, so its chained distances begin
     # one sweep later than the solver's
     assert np.allclose(rec.residues[1:], state.residue_history, atol=1e-10)
+
+
+def test_columns_off_keeps_every_bit_and_never_calls_the_objective():
+    spec = small_spec(seed=6)
+    rule = TerminationRule(tol=1e-8, max_iter=5000)
+    full = solve(spec, StepSizePlan.estimated(), rule=rule)
+
+    def refuse(x, z):
+        raise AssertionError("objective called with columns off")
+
+    spec.objective = refuse
+    bare = solve(spec, StepSizePlan.estimated(), rule=rule, columns=False)
+    assert [r[:3] for r in bare.rows] == [r[:3] for r in full.rows]
+    assert all(np.isnan(r[3]) and np.isnan(r[4]) for r in bare.rows)
+    for name in ("x", "z", "lam", "ax", "zeta_unscaled"):
+        assert np.array_equal(getattr(bare, name), getattr(full, name)), name
+    assert bare.final_gamma == full.final_gamma
+
+
+@pytest.mark.parametrize("kind", at.KINDS)
+def test_frozen_estimate_forms_lam_each_sweep_and_matches_fixed(desk, kind):
+    # the estimated plan forms lam every sweep, the fixed plan once after the
+    # loop; frozen at once, the estimated plan runs at gamma0 throughout
+    spec = desk(kind).spec
+    fixed = solve(spec, StepSizePlan.fixed(1.0))
+    frozen = solve(spec, StepSizePlan.estimated(freeze_after=0))
+    assert frozen.rows == fixed.rows
+    for name in ("x", "z", "lam", "ax", "zeta_unscaled"):
+        assert np.array_equal(getattr(frozen, name), getattr(fixed, name)), name
 
 
 def test_infinite_tolerance_returns_before_any_sweep():

@@ -212,6 +212,18 @@ def test_objective_is_finite_at_oracle(desk, oracle):
     assert inst.spec.eval_objective(o.x, o.z) <= start + 1e-9
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_reference_run_keeps_every_bit_without_its_columns(desk, kind):
+    inst = desk(kind)
+    got = compute_oracle(inst)
+    rec = at.solve(inst.spec, StepSizePlan.fixed(1.0),
+                   rule=TerminationRule(tol=1e-10, max_iter=200_000))
+    for name in ("x", "z", "lam", "ax"):
+        assert np.array_equal(getattr(got, name), getattr(rec, name)), name
+    assert got.residue == rec.rows[-1][2]
+    assert got.iterations == rec.iterations
+
+
 def test_oracle_is_cached_and_refreshable(desk):
     inst = generate("bp", profile="desk", seed=6)
     first = compute_oracle(inst)

@@ -316,6 +316,42 @@ def test_shifted_solvers_reject_subnormal_shifts():
     assert np.all(np.isfinite(wide(2.0 * tiny, 0.0, np.ones(3))[0]))
 
 
+def test_zero_reduced_hessian_route_equals_the_shifted_solve(desk):
+    # quad_affine with P = 0 skips the shifted solve in the null space, which
+    # must then be an exact no-op: compare with the route it bypasses
+    data = desk("lp").data
+    q, A, b = data["cost"], data["A"], data["b"]
+    n = q.size
+    P = np.zeros((n, n))
+    h = catalog_prox("quad_affine", P=P, q=q, A=A, b=b)
+    Vt, x0 = prox_mod._affine_frame(A, b, full_matrices=True)
+    N = Vt[A.shape[0]:].T
+    c = q + P @ x0
+    solve = prox_mod._shifted_solver(N.T @ P @ N)
+    rng = np.random.default_rng(34)
+    for gamma in (1e-3, 0.37, 1.0, 2.5, 1e3):
+        v = rng.normal(scale=10.0, size=n)
+        want = x0 + N @ solve(1.0, gamma, N.T @ (v - gamma * c))
+        assert np.array_equal(h(v, gamma), want), gamma
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("l1", dict(dim=2, weight=np.nan)),
+    ("huber", dict(dim=2, delta=np.nan)),
+    ("huber", dict(dim=2, weight=np.nan)),
+    ("box", dict(dim=2, lower=np.nan, upper=1.0)),
+    ("box", dict(dim=2, lower=0.0, upper=np.array([1.0, np.nan]))),
+])
+def test_scalar_parameters_reject_nan(kind, params):
+    with pytest.raises(ValueError):
+        catalog_prox(kind, **params)
+
+
+def test_box_bounds_may_be_infinite():
+    h = catalog_prox("box", dim=3, lower=-np.inf, upper=np.array([np.inf, 1.0, np.inf]))
+    assert np.array_equal(h(np.array([-5.0, 5.0, 5.0]), 1.0), [-5.0, 1.0, 5.0])
+
+
 def test_huber_piecewise_form():
     h = catalog_prox("huber", dim=1, delta=1.0)
     t = 0.7
