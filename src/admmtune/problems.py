@@ -490,6 +490,11 @@ def compute_oracle(instance: ProblemInstance, tol: float = 1e-10,
     Runs the solver from the zero start at unit step size until the unscaled
     residue drops to ``tol``.  The run records no objective or infeasibility
     column, which nothing here reads.
+
+    Where the optimal multiplier is not unique (lad and bp), the pair is the
+    one this run ends at, and the oracle step sizes derived from it belong
+    to it: an estimated-plan reference run to the same ``tol`` ends at
+    another multiplier, whose zero-start step size differs by about 1%.
     """
     if instance.oracle is not None and not refresh:
         return instance.oracle

@@ -28,9 +28,6 @@ space.  Handles hold only read-only arrays and are safe to share across
 threads.  An entry rejects matrix or vector data holding NaN or inf, and
 scalar parameters that are NaN, with ValueError before it decomposes
 anything.
-
-The module needs numpy alone: ``tv_quad`` is the only entry that imports
-scipy (for its banded solve), and it does so when its handle is built.
 """
 
 from __future__ import annotations
@@ -417,16 +414,6 @@ def _difference_apply_t(w, n):
     return out
 
 
-def _tridiag_banded(n, gamma):
-    """Upper banded form of I + gamma * D^T D for the first-difference D."""
-    ab = np.zeros((2, n))
-    ab[1, :] = 1.0 + 2.0 * gamma
-    ab[1, 0] = 1.0 + gamma
-    ab[1, -1] = 1.0 + gamma
-    ab[0, 1:] = -gamma
-    return ab
-
-
 def _entry_tv_quad(n, target=None):
     n = int(n)
     if n < 2:
@@ -436,15 +423,18 @@ def _entry_tv_quad(n, target=None):
         raise ValueError(f"target must have length {n - 1}, got {u.size}")
     _require_finite("target", u)
 
-    # O(n) per call with no factorization kept, so nothing grows with the
-    # number of distinct penalties
+    # I + gamma D^T D is the Neumann second difference, which the DCT-II
+    # diagonalizes; the DCT of w is the real FFT of its even extension, whose
+    # circulant second difference has eigenvalues 2 - 2cos(pi k / n), k = 0..n
     shift = _difference_apply_t(u, n)
-    # the one scipy import, kept off the package's import path, where it more than doubled the time
-    from scipy.linalg import solveh_banded
+    s = 2.0 - 2.0 * np.cos(np.pi * np.arange(n + 1) / n)
+    for arr in (shift, s):
+        arr.setflags(write=False)
 
     def evaluate(v, gamma):
         _require_positive(gamma)
-        return solveh_banded(_tridiag_banded(n, gamma), v + gamma * shift)
+        w = v + gamma * shift
+        return np.fft.irfft(np.fft.rfft(np.concatenate([w, w[::-1]])) / (1.0 + gamma * s), 2 * n)[:n]
 
     return ProxHandle(evaluate, CLASSICAL, n)
 
@@ -512,11 +502,9 @@ def catalog_prox(kind: str, **params) -> ProxHandle:
         a ``quad_affine`` whose reduced Hessian is zero (``P = 0``) skips
         the eigenbasis altogether;
         ``affine_set`` takes one thin SVD of ``A`` here and projects with
-        two passes over its p x n row-space basis; ``tv_quad`` solves its
-        tridiagonal system per call with ``scipy.linalg.solveh_banded``,
-        imported when the handle is built; every other entry uses numpy
-        alone.  No handle writes to the data it holds, so every handle may be
-        shared across threads.
+        two passes over its p x n row-space basis; ``tv_quad`` takes one
+        real FFT pair per call, O(n) memory.  No handle writes to the data
+        it holds, so every handle may be shared across threads.
 
     Raises
     ------

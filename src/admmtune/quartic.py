@@ -101,12 +101,12 @@ def _require_finite(name, v):
 
 # as a decorator, errstate costs a fraction of the with-statement form
 @np.errstate(over="ignore")
-def _squared_norm(v, what):
-    """``v @ v`` as a float; ValueError naming ``what`` when it overflows or is not finite."""
-    nrm2 = float(v @ v)
-    if not math.isfinite(nrm2):
-        raise ValueError(f"{what} must be finite, got squared norm {nrm2!r}")
-    return nrm2
+def _finite_dot(u, v, what):
+    """``u @ v`` as a float; ValueError naming ``what`` when it overflows or is not finite."""
+    dot = float(u @ v)
+    if not math.isfinite(dot):
+        raise ValueError(f"{what} must be finite, got {dot!r}")
+    return dot
 
 
 def build_coefficients(ax_star, lambda_star, zeta0=None) -> QuarticCoefficients:
@@ -131,8 +131,9 @@ def build_coefficients(ax_star, lambda_star, zeta0=None) -> QuarticCoefficients:
     Raises
     ------
     ValueError
-        If ``ax_star`` or ``lambda_star`` has a non-finite entry or a
-        squared norm that overflows.
+        If ``ax_star``, ``lambda_star`` or ``zeta0`` has a non-finite
+        entry, or a squared norm or an inner product with ``zeta0``
+        overflows.
     DegenerateProblemError
         If ``ax_star`` or ``lambda_star`` is numerically zero.
     """
@@ -144,8 +145,8 @@ def build_coefficients(ax_star, lambda_star, zeta0=None) -> QuarticCoefficients:
         )
     _require_finite("ax_star", ax)
     _require_finite("lambda_star", lam)
-    ax_nrm2 = _squared_norm(ax, "coefficient a")
-    lam_nrm2 = _squared_norm(lam, "coefficient e")
+    ax_nrm2 = _finite_dot(ax, ax, "coefficient a")
+    lam_nrm2 = _finite_dot(lam, lam, "coefficient e")
     if not ax_nrm2 > 0.0:
         raise DegenerateProblemError("ax_star is zero; the quartic has no positive root")
     if not lam_nrm2 > 0.0:
@@ -155,8 +156,9 @@ def build_coefficients(ax_star, lambda_star, zeta0=None) -> QuarticCoefficients:
         z = np.asarray(zeta0, dtype=float).ravel()
         if z.shape != ax.shape:
             raise ValueError(f"zeta0 must have size {ax.size}, got {z.size}")
-        b = -float(ax @ z)
-        d = float(lam @ z)
+        _require_finite("zeta0", z)
+        b = -_finite_dot(ax, z, "coefficient b")
+        d = _finite_dot(lam, z, "coefficient d")
     return QuarticCoefficients(a=ax_nrm2, b=b, d=d, e=-lam_nrm2)
 
 

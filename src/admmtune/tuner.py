@@ -18,8 +18,8 @@ import numpy as np
 from .quartic import (
     DegenerateProblemError,
     _biquadratic_root,
+    _finite_dot,
     _require_finite,
-    _squared_norm,
     build_coefficients,
     optimal_gamma,
     solve_quartic,
@@ -161,8 +161,8 @@ def gamma_zero_init(ax_star, lambda_star) -> float:
     _require_finite("ax_star", ax)
     _require_finite("lambda_star", lam)
     # the quartic route rejects the same overflowing squares
-    ax_nrm2 = _squared_norm(ax, "||ax_star||^2")
-    lam_nrm2 = _squared_norm(lam, "||lambda_star||^2")
+    ax_nrm2 = _finite_dot(ax, ax, "||ax_star||^2")
+    lam_nrm2 = _finite_dot(lam, lam, "||lambda_star||^2")
     if ax_nrm2 == 0.0:
         raise DegenerateProblemError("ax_star is zero; the optimal step size is undefined")
     if lam_nrm2 == 0.0:
@@ -217,8 +217,8 @@ def estimate_step(state, plan: StepSizePlan) -> float:
     lam = np.asarray(state.lam, dtype=float).ravel()
     # the quartic's b = d = 0 case: a = ||A x||^2 and e = -||lam||^2 are
     # its whole input, checked as build_coefficients checks them
-    ax2 = _squared_norm(ax, "coefficient a")
-    lam2 = _squared_norm(lam, "coefficient e")
+    ax2 = _finite_dot(ax, ax, "coefficient a")
+    lam2 = _finite_dot(lam, lam, "coefficient e")
     if math.sqrt(ax2) < _DEGENERATE_NORM or math.sqrt(lam2) < _DEGENERATE_NORM:
         return current
     alpha = _biquadratic_root(ax2, -lam2)

@@ -224,6 +224,22 @@ def test_reference_run_keeps_every_bit_without_its_columns(desk, kind):
     assert got.iterations == rec.iterations
 
 
+def test_zero_start_step_belongs_to_the_returned_pair(desk, oracle):
+    # lad and bp have more than one optimal multiplier, so two reference runs
+    # to the same tolerance can end at pairs whose zero-start step sizes differ
+    for kind in KINDS:
+        o = oracle(kind)
+        rec = at.solve(desk(kind).spec, StepSizePlan.estimated(),
+                       rule=TerminationRule(tol=1e-10, max_iter=200_000), columns=False)
+        assert rec.converged, kind
+        ref = at.gamma_zero_init(o.ax, o.lam)
+        gap = abs(at.gamma_zero_init(rec.ax, rec.lam) - ref) / ref
+        if kind in ("lad", "bp"):
+            assert gap > 5e-3, (kind, gap)
+        else:
+            assert gap < 1e-8, (kind, gap)
+
+
 def test_oracle_is_cached_and_refreshable(desk):
     inst = generate("bp", profile="desk", seed=6)
     first = compute_oracle(inst)

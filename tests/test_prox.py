@@ -376,16 +376,19 @@ def test_smooth_entry_stationarity():
     p = h(v, gamma)
     assert np.max(np.abs(p - v + gamma * (A.T @ (A @ p - b)))) <= 1e-10
 
-    n = 12
-    u = np.zeros(n - 1)
-    tv = catalog_prox("tv_quad", n=n)
-    v = rng.normal(size=n)
-    x = tv(v, gamma)
-    grad = np.zeros(n)
-    d = x[1:] - x[:-1] - u
-    grad[:-1] -= d
-    grad[1:] += d
-    assert np.max(np.abs(x - v + gamma * grad)) <= 1e-10
+    # the smallest n, and an n where any dense n x n route would need 320 GB
+    for n in (2, 3, 12, 200_000):
+        u = rng.normal(size=n - 1)
+        tv = catalog_prox("tv_quad", n=n, target=u)
+        v = rng.normal(size=n)
+        for g in (1e-3, 1.0, 1e3):
+            x = tv(v, g)
+            grad = np.zeros(n)
+            d = x[1:] - x[:-1] - u
+            grad[:-1] -= d
+            grad[1:] += d
+            resid = np.max(np.abs(x - v + g * grad))
+            assert resid <= 1e-14 * (1.0 + 4.0 * g) * max(1.0, np.max(np.abs(v))), (n, g, resid)
 
     S = EXTRAS["S"]
     ld = HANDLES["logdet_quad"]

@@ -41,6 +41,14 @@ def test_zero_start_rejects_degenerate_vectors():
         gamma_zero_init([1e200] * 2, [1e200] * 2)
     with pytest.raises(ValueError, match="coefficient a must be finite"):
         gamma_general([1e200] * 2, [1e200] * 2)
+    # finite squares whose inner products with the start overflow
+    with pytest.raises(ValueError, match="coefficient b must be finite"):
+        gamma_general([1e150], [1.0], [1e200])
+    with pytest.raises(ValueError, match="coefficient d must be finite"):
+        gamma_general([1.0], [1e150], [1e200])
+    # an infinite start entry facing a zero of ax_star would make a NaN
+    with pytest.raises(ValueError, match="zeta0 must be finite"):
+        gamma_general([1.0, 0.0], [1.0, 1.0], [1.0, np.inf])
 
 
 def test_matched_start_vector_is_a_root():
