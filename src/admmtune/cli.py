@@ -164,10 +164,9 @@ def _atomic_write(path, text):
 
 
 def _run_csv(rows):
-    lines = ["k,gamma,residue,objective,infeasibility"]
-    for k, gamma, residue, objective, infeasibility in rows:
-        lines.append(f"{k},{gamma!r},{residue!r},{objective!r},{infeasibility!r}")
-    return "\n".join(lines) + "\n"
+    return "".join(["k,gamma,residue,objective,infeasibility\n"]
+                   + [f"{k},{gamma!r},{residue!r},{objective!r},{infeasibility!r}\n"
+                      for k, gamma, residue, objective, infeasibility in rows])
 
 
 def _json_text(payload):
@@ -190,6 +189,19 @@ def _resolve_common(opts):
     return kind, profile, seed, out
 
 
+# plan names whose step size needs the reference solution pair
+_ORACLE_PLANS = ("oracle", "pair", "asym-primal", "asym-dual")
+
+
+def _is_unit_fixed(token):
+    """True for a ``fixed[:gamma]`` token whose step size parses to exactly 1."""
+    name, _, arg = token.partition(":")
+    try:
+        return name == "fixed" and (float(arg) if arg else 1.0) == 1.0
+    except ValueError:
+        return False
+
+
 def _realize_plan(token, instance, init_vec, opts):
     """Map one plan token to (plan, init, slug); oracle-backed tokens solve first."""
     name, _, arg = token.partition(":")
@@ -203,18 +215,16 @@ def _realize_plan(token, instance, init_vec, opts):
             freeze = opts.get("freeze-after", int, None)
             plan = tuner.StepSizePlan.estimated(gamma0, threshold, freeze)
             return plan, init_vec, f"estimated-{gamma0:g}"
-        if name == "oracle":
+        if name in _ORACLE_PLANS:
+            # the oracle token ignores its argument
+            beta = float(arg) if arg and name != "oracle" else 1.0
             oracle = problems.compute_oracle(instance)
-            plan = tuner.StepSizePlan.oracle(oracle.ax, oracle.lam, init_vec)
-            return plan, init_vec, "oracle"
-        if name == "pair":
-            beta = float(arg) if arg else 1.0
-            oracle = problems.compute_oracle(instance)
-            pair = tuner.optimal_pair(oracle.ax, oracle.lam, beta)
-            return tuner.StepSizePlan.fixed(pair.gamma), pair.zeta0, f"pair-{beta:g}"
-        if name in ("asym-primal", "asym-dual"):
-            beta = float(arg) if arg else 1.0
-            oracle = problems.compute_oracle(instance)
+            if name == "oracle":
+                plan = tuner.StepSizePlan.oracle(oracle.ax, oracle.lam, init_vec)
+                return plan, init_vec, "oracle"
+            if name == "pair":
+                pair = tuner.optimal_pair(oracle.ax, oracle.lam, beta)
+                return tuner.StepSizePlan.fixed(pair.gamma), pair.zeta0, f"pair-{beta:g}"
             side = "primal" if name.endswith("primal") else "dual"
             vector = oracle.ax if side == "primal" else oracle.lam
             pair = tuner.asymptotic_pair(side, vector, beta)
@@ -260,6 +270,16 @@ def _cmd_run(args, config, config_path):
     os.makedirs(out, exist_ok=True)
     tag = _instance_tag(kind, profile, seed)
 
+    # a zero-start fixed:1 plan at the default theta is the first stretch of
+    # the oracle's reference run: it is solved once, and the reference run
+    # resumes where it stopped
+    shared = None
+    if (init_vec is None and rule.theta == TerminationRule().theta
+            and any(token.partition(":")[0] in _ORACLE_PLANS for token in plans)
+            and any(_is_unit_fixed(token) for token in plans)):
+        shared = solve(instance.spec, tuner.StepSizePlan.fixed(1.0), init=None, rule=rule)
+        problems.compute_oracle(instance, prefix=shared)
+
     summary_runs = []
     all_converged = True
     seen_slugs = {}
@@ -269,7 +289,10 @@ def _cmd_run(args, config, config_path):
         seen_slugs[slug] = count + 1
         if count:
             slug = f"{slug}-{count + 1}"
-        record = solve(instance.spec, plan, init=init, rule=rule)
+        if shared is not None and _is_unit_fixed(token):
+            record = shared
+        else:
+            record = solve(instance.spec, plan, init=init, rule=rule)
         csv_name = f"{tag}_{slug}.csv"
         _atomic_write(os.path.join(out, csv_name), _run_csv(record.rows))
         all_converged &= record.converged

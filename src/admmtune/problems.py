@@ -484,28 +484,66 @@ def generate_data(kind: str, dims: dict = None, seed: int = 0, params: dict = No
 
 
 def compute_oracle(instance: ProblemInstance, tol: float = 1e-10,
-                   max_iter: int = 200_000, refresh: bool = False) -> OracleSolution:
+                   max_iter: int = 200_000, refresh: bool = False, *,
+                   prefix=None) -> OracleSolution:
     """High-accuracy solution pair, cached on the instance.
 
     Runs the solver from the zero start at unit step size until the unscaled
-    residue drops to ``tol``.  The run records no objective or infeasibility
-    column, which nothing here reads.
+    residue drops to ``tol``, which must be finite (ValueError otherwise).
+    The run records no objective or infeasibility column, which nothing here
+    reads.  A run that ends above ``tol`` after ``max_iter`` sweeps raises
+    ArithmeticError.
+
+    ``prefix`` (keyword-only) is a record of the start of that same run:
+    ``solve(instance.spec, StepSizePlan.fixed(1.0), init=None, rule)`` with
+    ``rule.theta == 0.5``, at any tol and max_iter.  That it ran on this
+    instance is the caller's contract; a record whose plan or final step
+    size is not exactly fixed(1.0), or whose ``zeta_unscaled`` does not have
+    length ``spec.p``, raises ValueError.  When no row before its last
+    reaches ``tol`` and it took at most ``max_iter`` sweeps, the run resumes
+    from its ``zeta_unscaled`` (at unit step size, the loop's scaled iterate
+    itself), or ends on its own iterates when its last row meets ``tol``;
+    otherwise it starts from scratch.  The result, sweep count included, is
+    bit-identical to a run from scratch, and neither record is changed.
 
     Where the optimal multiplier is not unique (lad and bp), the pair is the
     one this run ends at, and the oracle step sizes derived from it belong
     to it: an estimated-plan reference run to the same ``tol`` ends at
     another multiplier, whose zero-start step size differs by about 1%.
     """
+    if not math.isfinite(tol):
+        raise ValueError(f"a reference run needs a finite tol, got {tol}")
+    unit = tuner.StepSizePlan.fixed(1.0)
+    if prefix is not None:
+        # describe() rounds gamma to 6 digits, so the exact value is checked too
+        if prefix.final_gamma != 1.0 or prefix.plan != unit.describe():
+            raise ValueError(f"a reference-run prefix must be a fixed(1.0) record, "
+                             f"got {prefix.plan} ending at gamma {prefix.final_gamma!r}")
+        if prefix.zeta_unscaled is None or np.size(prefix.zeta_unscaled) != instance.spec.p:
+            raise ValueError(f"a reference-run prefix needs zeta_unscaled of length "
+                             f"{instance.spec.p}, got {np.size(prefix.zeta_unscaled)}")
     if instance.oracle is not None and not refresh:
         return instance.oracle
-    rec = solve(instance.spec, tuner.StepSizePlan.fixed(1.0), init=None,
-                rule=TerminationRule(tol=tol, max_iter=max_iter), columns=False)
-    if not rec.converged:
+    # rec holds the final iterates; the first `done` sweeps come from the prefix
+    rec, done = None, 0
+    if prefix is not None and prefix.iterations <= max_iter:
+        k = prefix.first_k_below(tol)
+        if k is None:
+            done = prefix.iterations
+        elif k == prefix.iterations:
+            rec = prefix
+    if rec is None:
+        rec = solve(instance.spec, unit, init=prefix.zeta_unscaled if done else None,
+                    rule=TerminationRule(tol=tol, max_iter=max_iter - done), columns=False)
+    iterations = done + rec.iterations
+    last = rec.rows[-1] if rec.rows else (prefix.rows[-1] if done else None)
+    residue = math.nan if last is None else last[2]
+    if not residue <= tol:
         raise ArithmeticError(
             f"reference run for kind {instance.kind!r} stalled at residue "
-            f"{rec.rows[-1][2]:.3e} after {rec.iterations} sweeps"
+            f"{residue:.3e} after {iterations} sweeps"
         )
     oracle = OracleSolution(x=rec.x, z=rec.z, lam=rec.lam, ax=rec.ax,
-                            residue=rec.rows[-1][2], iterations=rec.iterations)
+                            residue=residue, iterations=iterations)
     instance.oracle = oracle
     return oracle

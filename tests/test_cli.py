@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from admmtune import KINDS, cli, generate, prox
+from admmtune import KINDS, cli, compute_oracle, generate, problems, prox
 
 
 def run_cli(argv):
@@ -291,3 +291,62 @@ def test_generate_exports_without_building_a_solver(tmp_path, monkeypatch):
     for kind in KINDS:
         assert run_cli(["generate", "--kind", kind, "--seed", "2", "--out", str(out)]) == 0
         assert (out / f"{kind}_desk_seed2_instance.json").read_text() == wants[kind]
+
+
+def _count_x_steps(monkeypatch):
+    """Count every x-step of the instances ``run`` generates."""
+    calls = []
+    real = problems.generate
+
+    def generate_counting(*args, **kwargs):
+        inst = real(*args, **kwargs)
+        prox_f = inst.spec.prox_f
+
+        def counting(w, g):
+            calls.append(g)
+            return prox_f(w, g)
+
+        inst.spec.prox_f = counting
+        return inst
+
+    monkeypatch.setattr(problems, "generate", generate_counting)
+    return calls
+
+
+def _summary_sweeps(out):
+    summary = json.loads((out / "qp_desk_seed0_summary.json").read_text())
+    return sum(entry["iterations"] for entry in summary["runs"])
+
+
+def test_run_shares_the_unit_fixed_sweeps_with_the_reference_run(tmp_path, monkeypatch):
+    reference = compute_oracle(generate("qp", profile="desk", seed=0)).iterations
+    calls = _count_x_steps(monkeypatch)
+    for plans in (["fixed", "oracle"], ["oracle", "fixed"]):
+        out = tmp_path / "-".join(plans)
+        argv = ["run", "--kind", "qp", "--out", str(out)]
+        for plan in plans:
+            argv += ["--plan", plan]
+        del calls[:]
+        assert run_cli(argv) == 0
+        # the 88 fixed sweeps also open the 148-sweep reference run
+        assert len(calls) == 174 == _summary_sweeps(out) + reference - 88
+    # another theta or a structured start shares nothing
+    counts = {}
+    for flag, value in (("--theta", "0.4"), ("--init", "structure")):
+        out = tmp_path / value
+        del calls[:]
+        assert run_cli(["run", "--kind", "qp", "--plan", "fixed", "--plan", "oracle",
+                        flag, value, "--out", str(out)]) == 0
+        assert len(calls) == _summary_sweeps(out) + reference
+        counts[flag] = len(calls)
+    assert counts["--theta"] == 292
+
+
+def test_shared_run_writes_the_bytes_of_separate_runs(tmp_path):
+    together, apart = tmp_path / "together", tmp_path / "apart"
+    assert run_cli(["run", "--kind", "qp", "--plan", "oracle", "--plan", "fixed",
+                    "--out", str(together)]) == 0
+    for plan in ("fixed", "oracle"):
+        assert run_cli(["run", "--kind", "qp", "--plan", plan, "--out", str(apart)]) == 0
+    for name in ("qp_desk_seed0_fixed-1.csv", "qp_desk_seed0_oracle.csv"):
+        assert (together / name).read_bytes() == (apart / name).read_bytes(), name

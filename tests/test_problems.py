@@ -224,6 +224,86 @@ def test_reference_run_keeps_every_bit_without_its_columns(desk, kind):
     assert got.iterations == rec.iterations
 
 
+def _count_x_steps(spec):
+    """Wrap ``spec.prox_f`` in place; the returned list grows by one per call."""
+    calls = []
+    prox_f = spec.prox_f
+
+    def counting(w, g):
+        calls.append(g)
+        return prox_f(w, g)
+
+    spec.prox_f = counting
+    return calls
+
+
+def _assert_same_oracle(got, want):
+    for name in ("x", "z", "lam", "ax"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.residue == want.residue
+    assert got.iterations == want.iterations
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_reference_run_resumes_from_a_unit_fixed_prefix(oracle, kind):
+    fresh = generate(kind, profile="desk", seed=ACCEPT_SEEDS[kind])
+    prefix = at.solve(fresh.spec, StepSizePlan.fixed(1.0), init=None, rule=TerminationRule())
+    rows, zeta = list(prefix.rows), prefix.zeta_unscaled.copy()
+    calls = _count_x_steps(fresh.spec)
+    got = compute_oracle(fresh, prefix=prefix)
+    _assert_same_oracle(got, oracle(kind))
+    # only the sweeps past the prefix ran, and the prefix is left as it was
+    assert len(calls) == got.iterations - prefix.iterations > 0
+    assert prefix.rows == rows and np.array_equal(prefix.zeta_unscaled, zeta)
+
+
+def test_reference_run_prefix_past_or_at_the_tolerance(oracle):
+    want = oracle("qp")
+    # a prefix that ran past the reference tolerance is no prefix of the run
+    fresh = generate("qp", profile="desk", seed=ACCEPT_SEEDS["qp"])
+    past = at.solve(fresh.spec, StepSizePlan.fixed(1.0),
+                    rule=TerminationRule(tol=1e-12, max_iter=200_000))
+    calls = _count_x_steps(fresh.spec)
+    _assert_same_oracle(compute_oracle(fresh, prefix=past), want)
+    assert len(calls) == want.iterations < past.iterations
+    # a prefix that stops on the reference tolerance is the whole run
+    fresh = generate("qp", profile="desk", seed=ACCEPT_SEEDS["qp"])
+    whole = at.solve(fresh.spec, StepSizePlan.fixed(1.0),
+                     rule=TerminationRule(tol=1e-10, max_iter=200_000))
+    calls = _count_x_steps(fresh.spec)
+    _assert_same_oracle(compute_oracle(fresh, prefix=whole), want)
+    assert calls == []
+
+
+def test_reference_run_prefix_must_be_the_unit_fixed_run():
+    inst = generate("qp", profile="desk", seed=ACCEPT_SEEDS["qp"])
+    rule = TerminationRule(max_iter=5)
+    for plan in (StepSizePlan.fixed(2.0), StepSizePlan.estimated(),
+                 StepSizePlan.fixed(1.0 + 1e-9)):
+        rec = at.solve(inst.spec, plan, rule=rule)
+        with pytest.raises(ValueError, match="fixed\\(1.0\\) record"):
+            compute_oracle(inst, prefix=rec)
+    other = generate("lp", profile="desk", seed=ACCEPT_SEEDS["lp"])
+    rec = at.solve(other.spec, StepSizePlan.fixed(1.0), rule=rule)
+    with pytest.raises(ValueError, match="zeta_unscaled of length 30"):
+        compute_oracle(inst, prefix=rec)
+    assert inst.oracle is None
+
+
+def test_reference_run_typed_errors():
+    inst = generate("qp", profile="desk", seed=ACCEPT_SEEDS["qp"])
+    with pytest.raises(ValueError, match="finite tol"):
+        compute_oracle(inst, tol=float("inf"))
+    with pytest.raises(ArithmeticError, match="stalled at residue nan after 0 sweeps"):
+        compute_oracle(inst, max_iter=0)
+    # a prefix as long as max_iter leaves the continuation no sweep to run
+    prefix = at.solve(inst.spec, StepSizePlan.fixed(1.0), rule=TerminationRule())
+    stalled = f"stalled at residue {prefix.rows[-1][2]:.3e} after {prefix.iterations} sweeps"
+    with pytest.raises(ArithmeticError, match=stalled):
+        compute_oracle(inst, max_iter=prefix.iterations, prefix=prefix)
+    assert inst.oracle is None
+
+
 def test_zero_start_step_belongs_to_the_returned_pair(desk, oracle):
     # lad and bp have more than one optimal multiplier, so two reference runs
     # to the same tolerance can end at pairs whose zero-start step sizes differ
