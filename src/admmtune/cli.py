@@ -11,8 +11,10 @@ Every option can also come from an INI config file (``--config``); explicit
 flags win over the file, which wins over built-in defaults.  Options shared
 by all subcommands may live in a ``[common]`` section, subcommand-specific
 ones in ``[run]``, ``[grid]``, ``[contradiction]``, or ``[generate]``.  A
-key is an option's long flag without ``--`` (``plans`` for ``--plan``); a key
-that no option of its section takes is a configuration error::
+key is an option's long flag without ``--`` (``plans`` for ``--plan``), and
+its value is converted as the flag's is.  A key that no option of its
+section takes, or a value its option rejects, is a configuration error, even
+where a flag overrides it::
 
     [common]
     kind = lasso
@@ -42,40 +44,19 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import problems, tuner
 from .engine import TerminationRule, contradiction_demo, solve
 
-__all__ = ["main", "GridSearchResult"]
+__all__ = ["main"]
 
 _PROG = "admmtune"
 
 
 class ConfigError(Exception):
     """Bad configuration file or option value; maps to exit code 2."""
-
-
-@dataclass
-class GridSearchResult:
-    """Outcome of a fixed-step sweep over a gamma grid.
-
-    ``iterations`` holds iterations-to-tolerance per grid point, None where
-    the run hit ``max_iter`` first.  ``boundary_hit`` is True when the best
-    point sits on either end of the grid, a hint that the grid should be
-    widened.
-    """
-
-    gammas: list
-    iterations: list
-    converged: list
-    tol: float
-    max_iter: int
-    best_gamma: float
-    best_iterations: int
-    boundary_hit: bool
 
 
 def _parse_bool(raw):
@@ -92,42 +73,26 @@ def _parse_plans(raw):
     return [tok for tok in tokens if tok]
 
 
-class _Options:
-    """Flag values layered over config file values over defaults."""
-
-    def __init__(self, args, config, section, config_path):
-        self._args = args
-        self._cfg = config
-        self._section = section
-        self._path = config_path
-
-    def get(self, name, cast, default=None, required=False):
-        value = getattr(self._args, name.replace("-", "_"), None)
-        if value is not None:
-            return value
-        if self._cfg is not None:
-            for section in (self._section, "common"):
-                if self._cfg.has_option(section, name):
-                    raw = self._cfg.get(section, name)
-                    try:
-                        return cast(raw)
-                    except (ValueError, TypeError) as err:
-                        raise ConfigError(
-                            f"{self._path}: [{section}] {name} = {raw!r}: {err}"
-                        ) from None
-        if required and default is None:
-            raise ConfigError(f"option '{name}' is required (flag or config)")
-        return default
+# config conversions of the options whose flags take no typed value
+_CONFIG_CASTS = {"plans": _parse_plans, "strict": _parse_bool}
 
 
-def _load_config(path, keys):
-    """Read an INI file whose sections and keys must all be in ``keys``.
+def _config_keys(subparser):
+    """Map each config key of ``subparser`` (its dest with '-' for '_') to its action."""
+    return {action.dest.replace("_", "-"): action for action in subparser._actions
+            if action.dest not in ("help", "config")}
 
-    ``keys`` maps each subcommand to the config keys its options take; a
-    ``[common]`` (or ``[DEFAULT]``) key is valid if any subcommand takes it.
+
+def _load_config(path, subparsers, command):
+    """Make an INI file's values the defaults of ``subparsers[command]``.
+
+    Every section and key must be known: a ``[common]`` (or ``[DEFAULT]``)
+    key is valid if any subcommand takes it, a section named after a
+    subcommand takes that subcommand's keys.  Each key ``command`` takes is
+    converted as its flag converts it, from its own section if that has the
+    key, else from ``[common]``.  Config plans go to ``config_plans``, since
+    ``--plan`` flags would append to a ``plans`` default.
     """
-    if path is None:
-        return None
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     cfg = configparser.ConfigParser()
@@ -135,8 +100,9 @@ def _load_config(path, keys):
         cfg.read(path)
     except configparser.Error as err:
         raise ConfigError(f"{path}: {err}") from None
+    keys = {name: set(_config_keys(p)) for name, p in subparsers.items()}
     common = set().union(*keys.values())
-    keys = {**keys, "common": common, cfg.default_section: common}
+    keys.update({"common": common, cfg.default_section: common})
     defaults = set(cfg.defaults())
     for section in [cfg.default_section] + cfg.sections():
         if section not in keys:
@@ -147,7 +113,19 @@ def _load_config(path, keys):
         if unknown:
             raise ConfigError(f"{path}: [{section}] unknown key {unknown[0]!r}; "
                               f"known keys: {', '.join(sorted(keys[section]))}")
-    return cfg
+    values = {}
+    for key, action in _config_keys(subparsers[command]).items():
+        section = next((s for s in (command, "common") if cfg.has_option(s, key)), None)
+        if section is None:
+            continue
+        raw = cfg.get(section, key)
+        cast = _CONFIG_CASTS.get(action.dest, action.type)
+        try:
+            value = raw if cast is None else cast(raw)
+        except (ValueError, TypeError) as err:
+            raise ConfigError(f"{path}: [{section}] {key} = {raw!r}: {err}") from None
+        values["config_plans" if key == "plans" else action.dest] = value
+    subparsers[command].set_defaults(**values)
 
 
 def _atomic_write(path, text):
@@ -173,128 +151,105 @@ def _json_text(payload):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _instance_tag(kind, profile, seed):
-    return f"{kind}_{profile}_seed{seed}"
-
-
-def _resolve_common(opts):
-    kind = opts.get("kind", str, required=True)
-    if kind not in problems.KINDS:
-        raise ConfigError(f"unknown kind {kind!r}; known kinds: {', '.join(problems.KINDS)}")
-    profile = opts.get("profile", str, "desk")
-    if profile not in ("desk", "paper"):
-        raise ConfigError(f"unknown profile {profile!r}; use 'desk' or 'paper'")
-    seed = opts.get("seed", int, 0)
-    out = opts.get("out", str, ".")
-    return kind, profile, seed, out
+def _resolve_common(args):
+    """Check the options every subcommand takes; return the instance's file tag."""
+    if args.kind is None:
+        raise ConfigError("option 'kind' is required (flag or config)")
+    if args.kind not in problems.KINDS:
+        raise ConfigError(f"unknown kind {args.kind!r}; known kinds: {', '.join(problems.KINDS)}")
+    if args.profile not in ("desk", "paper"):
+        raise ConfigError(f"unknown profile {args.profile!r}; use 'desk' or 'paper'")
+    return f"{args.kind}_{args.profile}_seed{args.seed}"
 
 
 # plan names whose step size needs the reference solution pair
 _ORACLE_PLANS = ("oracle", "pair", "asym-primal", "asym-dual")
 
 
-def _is_unit_fixed(token):
-    """True for a ``fixed[:gamma]`` token whose step size parses to exactly 1."""
+def _parse_plan(token):
+    """Split a plan token into its name and its numeric argument (1 when absent)."""
     name, _, arg = token.partition(":")
+    if name not in ("fixed", "estimated") + _ORACLE_PLANS:
+        raise ConfigError(
+            f"unknown plan {token!r}; use fixed[:gamma], estimated[:gamma0], "
+            "oracle, pair[:beta], asym-primal[:beta], or asym-dual[:beta]"
+        )
     try:
-        return name == "fixed" and (float(arg) if arg else 1.0) == 1.0
-    except ValueError:
-        return False
-
-
-def _realize_plan(token, instance, init_vec, opts):
-    """Map one plan token to (plan, init, slug); oracle-backed tokens solve first."""
-    name, _, arg = token.partition(":")
-    try:
-        if name == "fixed":
-            gamma = float(arg) if arg else 1.0
-            return tuner.StepSizePlan.fixed(gamma), init_vec, f"fixed-{gamma:g}"
-        if name == "estimated":
-            gamma0 = float(arg) if arg else 1.0
-            threshold = opts.get("update-threshold", float, 0.0)
-            freeze = opts.get("freeze-after", int, None)
-            plan = tuner.StepSizePlan.estimated(gamma0, threshold, freeze)
-            return plan, init_vec, f"estimated-{gamma0:g}"
-        if name in _ORACLE_PLANS:
-            # the oracle token ignores its argument
-            beta = float(arg) if arg and name != "oracle" else 1.0
-            oracle = problems.compute_oracle(instance)
-            if name == "oracle":
-                plan = tuner.StepSizePlan.oracle(oracle.ax, oracle.lam, init_vec)
-                return plan, init_vec, "oracle"
-            if name == "pair":
-                pair = tuner.optimal_pair(oracle.ax, oracle.lam, beta)
-                return tuner.StepSizePlan.fixed(pair.gamma), pair.zeta0, f"pair-{beta:g}"
-            side = "primal" if name.endswith("primal") else "dual"
-            vector = oracle.ax if side == "primal" else oracle.lam
-            pair = tuner.asymptotic_pair(side, vector, beta)
-            return tuner.StepSizePlan.fixed(pair.gamma), pair.zeta0, f"{name}-{beta:g}"
+        # the oracle token ignores its argument
+        return name, float(arg) if arg and name != "oracle" else 1.0
     except ValueError as err:
         raise ConfigError(f"plan {token!r}: {err}") from None
-    raise ConfigError(
-        f"unknown plan {token!r}; use fixed[:gamma], estimated[:gamma0], "
-        "oracle, pair[:beta], asym-primal[:beta], or asym-dual[:beta]"
-    )
 
 
-def _resolve_rule(opts, default_tol):
-    """The termination rule and the ``--strict`` flag of ``run`` and ``grid``."""
+def _realize_plan(token, name, value, instance, init_vec, args):
+    """Map one parsed plan token to (plan, init, slug); oracle-backed tokens solve first."""
     try:
-        rule = TerminationRule(tol=opts.get("tol", float, default_tol),
-                               max_iter=opts.get("max-iter", int, 10_000),
-                               theta=opts.get("theta", float, 0.5))
+        if name == "fixed":
+            return tuner.StepSizePlan.fixed(value), init_vec, f"fixed-{value:g}"
+        if name == "estimated":
+            plan = tuner.StepSizePlan.estimated(value, args.update_threshold, args.freeze_after)
+            return plan, init_vec, f"estimated-{value:g}"
+        oracle = problems.compute_oracle(instance)
+        if name == "oracle":
+            plan = tuner.StepSizePlan.oracle(oracle.ax, oracle.lam, init_vec)
+            return plan, init_vec, "oracle"
+        if name == "pair":
+            pair = tuner.optimal_pair(oracle.ax, oracle.lam, value)
+        else:
+            side = "primal" if name.endswith("primal") else "dual"
+            pair = tuner.asymptotic_pair(side, oracle.ax if side == "primal" else oracle.lam, value)
+        return tuner.StepSizePlan.fixed(pair.gamma), pair.zeta0, f"{name}-{value:g}"
     except ValueError as err:
-        raise ConfigError(str(err)) from None
-    return rule, opts.get("strict", _parse_bool, False)
+        raise ConfigError(f"plan {token!r}: {err}") from None
 
 
-def _resolve_init(opts, instance):
-    mode = opts.get("init", str, "zero")
-    if mode == "zero":
-        return None, mode
-    if mode == "structure":
-        return instance.structure_start(), mode
-    raise ConfigError(f"unknown init {mode!r}; use 'zero' or 'structure'")
+def _resolve_init(args, instance):
+    if args.init == "zero":
+        return None
+    if args.init == "structure":
+        return instance.structure_start()
+    raise ConfigError(f"unknown init {args.init!r}; use 'zero' or 'structure'")
 
 
-def _cmd_run(args, config, config_path):
-    opts = _Options(args, config, "run", config_path)
-    kind, profile, seed, out = _resolve_common(opts)
-    plans = opts.get("plans", _parse_plans, None)
+def _cmd_run(args):
+    tag = _resolve_common(args)
+    plans = args.plans or args.config_plans
     if not plans:
         raise ConfigError("at least one plan is required (--plan or config 'plans')")
-    rule, strict = _resolve_rule(opts, 1e-6)
+    rule = TerminationRule(tol=args.tol, max_iter=args.max_iter, theta=args.theta)
+    parsed = [_parse_plan(token) for token in plans]
 
-    instance = problems.generate(kind, profile=profile, seed=seed)
-    init_vec, init_mode = _resolve_init(opts, instance)
-    os.makedirs(out, exist_ok=True)
-    tag = _instance_tag(kind, profile, seed)
+    instance = problems.generate(args.kind, profile=args.profile, seed=args.seed)
+    init_vec = _resolve_init(args, instance)
 
     # a zero-start fixed:1 plan at the default theta is the first stretch of
     # the oracle's reference run: it is solved once, and the reference run
     # resumes where it stopped
+    unit_fixed = [name == "fixed" and value == 1.0 for name, value in parsed]
     shared = None
-    if (init_vec is None and rule.theta == TerminationRule().theta
-            and any(token.partition(":")[0] in _ORACLE_PLANS for token in plans)
-            and any(_is_unit_fixed(token) for token in plans)):
+    if (init_vec is None and rule.theta == TerminationRule.theta
+            and any(name in _ORACLE_PLANS for name, _ in parsed) and any(unit_fixed)):
         shared = solve(instance.spec, tuner.StepSizePlan.fixed(1.0), init=None, rule=rule)
         problems.compute_oracle(instance, prefix=shared)
+    # every plan is checked before the first CSV is written
+    realized = [_realize_plan(token, name, value, instance, init_vec, args)
+                for token, (name, value) in zip(plans, parsed)]
 
+    os.makedirs(args.out, exist_ok=True)
     summary_runs = []
     all_converged = True
     seen_slugs = {}
-    for token in plans:
-        plan, init, slug = _realize_plan(token, instance, init_vec, opts)
+    for token, unit, (plan, init, slug) in zip(plans, unit_fixed, realized):
         count = seen_slugs.get(slug, 0)
         seen_slugs[slug] = count + 1
         if count:
             slug = f"{slug}-{count + 1}"
-        if shared is not None and _is_unit_fixed(token):
+        if shared is not None and unit:
             record = shared
         else:
             record = solve(instance.spec, plan, init=init, rule=rule)
         csv_name = f"{tag}_{slug}.csv"
-        _atomic_write(os.path.join(out, csv_name), _run_csv(record.rows))
+        _atomic_write(os.path.join(args.out, csv_name), _run_csv(record.rows))
         all_converged &= record.converged
         summary_runs.append({
             "plan": record.plan,
@@ -314,32 +269,29 @@ def _cmd_run(args, config, config_path):
     summary = {
         "schema": 1,
         "command": "run",
-        "kind": kind,
-        "profile": profile,
-        "seed": seed,
+        "kind": args.kind,
+        "profile": args.profile,
+        "seed": args.seed,
         "dims": dict(instance.dims),
         "params": instance.params,
         "tol": rule.tol,
         "max_iter": rule.max_iter,
         "theta": rule.theta,
-        "init": init_mode,
+        "init": args.init,
         "runs": summary_runs,
     }
     summary_name = f"{tag}_summary.json"
-    _atomic_write(os.path.join(out, summary_name), _json_text(summary))
-    print(f"summary: {os.path.join(out, summary_name)}")
-    if strict and not all_converged:
+    _atomic_write(os.path.join(args.out, summary_name), _json_text(summary))
+    print(f"summary: {os.path.join(args.out, summary_name)}")
+    if args.strict and not all_converged:
         return 3
     return 0
 
 
-def _cmd_grid(args, config, config_path):
-    opts = _Options(args, config, "grid", config_path)
-    kind, profile, seed, out = _resolve_common(opts)
-    gamma_min = opts.get("gamma-min", float, 1e-3)
-    gamma_max = opts.get("gamma-max", float, 1e3)
-    points = opts.get("points", int, 50)
-    rule, strict = _resolve_rule(opts, 1e-4)
+def _cmd_grid(args):
+    tag = _resolve_common(args)
+    gamma_min, gamma_max, points = args.gamma_min, args.gamma_max, args.points
+    rule = TerminationRule(tol=args.tol, max_iter=args.max_iter, theta=args.theta)
     if points < 1:
         raise ConfigError(f"points must be at least 1, got {points}")
     if not (math.isfinite(gamma_min) and math.isfinite(gamma_max)):
@@ -347,42 +299,35 @@ def _cmd_grid(args, config, config_path):
     if not 0.0 < gamma_min <= gamma_max:
         raise ConfigError(f"need 0 < gamma-min <= gamma-max, got {gamma_min} and {gamma_max}")
 
-    instance = problems.generate(kind, profile=profile, seed=seed)
+    instance = problems.generate(args.kind, profile=args.profile, seed=args.seed)
     gammas = [float(g) for g in np.geomspace(gamma_min, gamma_max, points)]
-    records = [solve(instance.spec, tuner.StepSizePlan.fixed(g), init=None, rule=rule)
-               for g in gammas]
+    # a step size the plan rejects is a usage error, raised before any solve
+    plans = [tuner.StepSizePlan.fixed(g) for g in gammas]
+    # iterations to tolerance per point, None where the run hit max_iter or
+    # failed; a failing point does not stop the sweep
+    iterations = []
+    for gamma, plan in zip(gammas, plans):
+        try:
+            iterations.append(solve(instance.spec, plan, init=None, rule=rule).iterations_to_tol)
+        except (ArithmeticError, ValueError) as err:
+            print(f"{_PROG}: grid point gamma={gamma!r} failed: {err}", file=sys.stderr)
+            iterations.append(None)
+    best = min(range(points), key=lambda i: (math.inf if iterations[i] is None else iterations[i], i))
+    # the best point on either end of the grid hints that it should be widened
+    boundary_hit = points > 1 and best in (0, points - 1)
 
-    iterations = [rec.iterations_to_tol for rec in records]
-    converged = [rec.converged for rec in records]
-    best_idx = min(
-        range(len(gammas)),
-        key=lambda i: (iterations[i] if iterations[i] is not None else float("inf"), i),
-    )
-    result = GridSearchResult(
-        gammas=gammas,
-        iterations=iterations,
-        converged=converged,
-        tol=rule.tol,
-        max_iter=rule.max_iter,
-        best_gamma=gammas[best_idx],
-        best_iterations=iterations[best_idx],
-        boundary_hit=len(gammas) > 1 and best_idx in (0, len(gammas) - 1),
-    )
-
-    os.makedirs(out, exist_ok=True)
-    tag = _instance_tag(kind, profile, seed)
+    os.makedirs(args.out, exist_ok=True)
     lines = ["gamma,iterations_to_tol,converged"]
-    for gamma, iters, ok in zip(gammas, iterations, converged):
-        iters_text = "" if iters is None else str(iters)
-        lines.append(f"{gamma!r},{iters_text},{str(ok).lower()}")
-    _atomic_write(os.path.join(out, f"{tag}_grid.csv"), "\n".join(lines) + "\n")
+    for gamma, iters in zip(gammas, iterations):
+        lines.append(f"{gamma!r},{'' if iters is None else iters},{str(iters is not None).lower()}")
+    _atomic_write(os.path.join(args.out, f"{tag}_grid.csv"), "\n".join(lines) + "\n")
 
     payload = {
         "schema": 1,
         "command": "grid",
-        "kind": kind,
-        "profile": profile,
-        "seed": seed,
+        "kind": args.kind,
+        "profile": args.profile,
+        "seed": args.seed,
         "dims": dict(instance.dims),
         "tol": rule.tol,
         "max_iter": rule.max_iter,
@@ -390,36 +335,34 @@ def _cmd_grid(args, config, config_path):
         "points": points,
         "gamma_min": gamma_min,
         "gamma_max": gamma_max,
-        "best_gamma": result.best_gamma,
-        "best_iterations": result.best_iterations,
-        "boundary_hit": result.boundary_hit,
-        "converged_points": sum(converged),
+        "best_gamma": gammas[best],
+        "best_iterations": iterations[best],
+        "boundary_hit": boundary_hit,
+        "converged_points": sum(iters is not None for iters in iterations),
     }
-    _atomic_write(os.path.join(out, f"{tag}_grid.json"), _json_text(payload))
-    best_text = "none" if result.best_iterations is None else str(result.best_iterations)
-    print(f"{tag} grid: best_gamma={result.best_gamma:.6g} iterations={best_text} "
-          f"boundary_hit={result.boundary_hit} csv={tag}_grid.csv")
-    if strict and not all(converged):
+    _atomic_write(os.path.join(args.out, f"{tag}_grid.json"), _json_text(payload))
+    best_text = "none" if iterations[best] is None else str(iterations[best])
+    print(f"{tag} grid: best_gamma={gammas[best]:.6g} iterations={best_text} "
+          f"boundary_hit={boundary_hit} csv={tag}_grid.csv")
+    if args.strict and None in iterations:
         return 3
     return 0
 
 
-def _cmd_contradiction(args, config, config_path):
-    opts = _Options(args, config, "contradiction", config_path)
-    kind, profile, seed, out = _resolve_common(opts)
-    instance = problems.generate(kind, profile=profile, seed=seed)
+def _cmd_contradiction(args):
+    tag = _resolve_common(args)
+    instance = problems.generate(args.kind, profile=args.profile, seed=args.seed)
     oracle = problems.compute_oracle(instance)
     report = contradiction_demo(instance.spec, None, ax_star=oracle.ax, lambda_star=oracle.lam)
     print(report.as_text())
 
-    os.makedirs(out, exist_ok=True)
-    tag = _instance_tag(kind, profile, seed)
+    os.makedirs(args.out, exist_ok=True)
     payload = {
         "schema": 1,
         "command": "contradiction",
-        "kind": kind,
-        "profile": profile,
-        "seed": seed,
+        "kind": args.kind,
+        "profile": args.profile,
+        "seed": args.seed,
         "gamma_dagger_primal": report.gamma_dagger_primal,
         "gamma_dagger_dual": report.gamma_dagger_dual,
         "daggers_agree": report.daggers_agree,
@@ -430,18 +373,17 @@ def _cmd_contradiction(args, config, config_path):
         "lam_norm": report.lam_norm,
         "inner": report.inner,
     }
-    path = os.path.join(out, f"{tag}_contradiction.json")
+    path = os.path.join(args.out, f"{tag}_contradiction.json")
     _atomic_write(path, _json_text(payload))
     print(f"report: {path}")
     return 0
 
 
-def _cmd_generate(args, config, config_path):
-    opts = _Options(args, config, "generate", config_path)
-    kind, profile, seed, out = _resolve_common(opts)
-    description = problems.generate_data(kind, profile=profile, seed=seed)
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, f"{_instance_tag(kind, profile, seed)}_instance.json")
+def _cmd_generate(args):
+    tag = _resolve_common(args)
+    description = problems.generate_data(args.kind, profile=args.profile, seed=args.seed)
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, f"{tag}_instance.json")
     _atomic_write(path, _json_text(description))
     print(f"instance: {path}")
     return 0
@@ -450,12 +392,24 @@ def _cmd_generate(args, config, config_path):
 def _add_common(parser):
     parser.add_argument("--config", help="INI config file; flags override it")
     parser.add_argument("--kind", help=f"problem family: {', '.join(problems.KINDS)}")
-    parser.add_argument("--profile", help="size profile: desk or paper (default desk)")
-    parser.add_argument("--seed", type=int, help="random seed (default 0)")
-    parser.add_argument("--out", help="output directory (default .)")
+    parser.add_argument("--profile", default="desk",
+                        help="size profile: desk or paper (default %(default)s)")
+    parser.add_argument("--seed", type=int, default=0, help="random seed (default %(default)s)")
+    parser.add_argument("--out", default=".", help="output directory (default %(default)s)")
+
+
+def _add_rule(parser, tol, strict_help):
+    parser.add_argument("--tol", type=float, default=tol,
+                        help="residue tolerance (default %(default)s)")
+    parser.add_argument("--max-iter", type=int, default=TerminationRule.max_iter,
+                        help="sweep limit (default %(default)s)")
+    parser.add_argument("--theta", type=float, default=TerminationRule.theta,
+                        help="averaging weight in (0,1) (default %(default)s)")
+    parser.add_argument("--strict", action="store_true", help=strict_help)
 
 
 def _build_parser():
+    """The ``admmtune`` parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog=_PROG,
         description="benchmark a splitting solver under different step-size plans",
@@ -467,27 +421,24 @@ def _build_parser():
     p_run.add_argument("--plan", dest="plans", action="append", metavar="TOKEN",
                        help="fixed[:gamma], estimated[:gamma0], oracle, pair[:beta], "
                             "asym-primal[:beta], asym-dual[:beta]; repeatable")
-    p_run.add_argument("--tol", type=float, help="residue tolerance (default 1e-6)")
-    p_run.add_argument("--max-iter", type=int, help="sweep limit (default 10000)")
-    p_run.add_argument("--theta", type=float, help="averaging weight in (0,1) (default 0.5)")
-    p_run.add_argument("--init", help="start vector: zero or structure (default zero)")
-    p_run.add_argument("--update-threshold", type=float,
-                       help="estimated plans: relative change needed to adopt a new gamma")
+    _add_rule(p_run, 1e-6, "exit 3 if any run fails to converge")
+    p_run.add_argument("--init", default="zero",
+                       help="start vector: zero or structure (default %(default)s)")
+    p_run.add_argument("--update-threshold", type=float, default=0.0,
+                       help="estimated plans: relative change needed to adopt a new gamma "
+                            "(default %(default)s)")
     p_run.add_argument("--freeze-after", type=int,
                        help="estimated plans: stop updating after this many sweeps")
-    p_run.add_argument("--strict", action="store_const", const=True,
-                       help="exit 3 if any run fails to converge")
+    p_run.set_defaults(config_plans=None)
 
     p_grid = sub.add_parser("grid", help="sweep fixed step sizes over a log grid")
     _add_common(p_grid)
-    p_grid.add_argument("--gamma-min", type=float, help="grid lower end (default 1e-3)")
-    p_grid.add_argument("--gamma-max", type=float, help="grid upper end (default 1e3)")
-    p_grid.add_argument("--points", type=int, help="grid size (default 50)")
-    p_grid.add_argument("--tol", type=float, help="residue tolerance (default 1e-4)")
-    p_grid.add_argument("--max-iter", type=int, help="sweep limit (default 10000)")
-    p_grid.add_argument("--theta", type=float, help="averaging weight (default 0.5)")
-    p_grid.add_argument("--strict", action="store_const", const=True,
-                        help="exit 3 unless every grid point converges")
+    p_grid.add_argument("--gamma-min", type=float, default=1e-3,
+                        help="grid lower end (default %(default)s)")
+    p_grid.add_argument("--gamma-max", type=float, default=1e3,
+                        help="grid upper end (default %(default)s)")
+    p_grid.add_argument("--points", type=int, default=50, help="grid size (default %(default)s)")
+    _add_rule(p_grid, 1e-4, "exit 3 unless every grid point converges")
 
     p_con = sub.add_parser("contradiction",
                            help="show that no single gamma matches both fixed-point views")
@@ -495,12 +446,17 @@ def _build_parser():
 
     p_gen = sub.add_parser("generate", help="write a problem instance as JSON")
     _add_common(p_gen)
+    return parser, sub.choices
 
-    # the config key _Options.get reads for an option: its dest with '-' for '_'
-    keys = {name: {action.dest.replace("_", "-") for action in p._actions
-                   if action.dest not in ("help", "config")}
-            for name, p in sub.choices.items()}
-    return parser, keys
+
+def _parse_args(argv):
+    """Parse ``argv``; with ``--config``, again over the file's values."""
+    parser, subparsers = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config is not None:
+        _load_config(args.config, subparsers, args.command)
+        args = parser.parse_args(argv)
+    return args
 
 
 _COMMANDS = {
@@ -512,18 +468,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser, keys = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        config = _load_config(args.config, keys)
-        return _COMMANDS[args.command](args, config, args.config)
-    except ConfigError as err:
-        print(f"{_PROG}: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
+    except (ConfigError, ValueError) as err:
         print(f"{_PROG}: {err}", file=sys.stderr)
         return 2
 

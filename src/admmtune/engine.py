@@ -137,17 +137,16 @@ class ProblemSpec:
 class SolverState:
     """The iterates ``estimate_step`` reads after a completed sweep.
 
-    ``lam`` is the dual multiplier and ``ax`` caches ``A @ x`` for the
-    current x.  ``solve`` keeps one per estimated run, refreshed in place
-    each sweep, to pass the iterates to ``estimate_step``.
+    ``ax`` is ``A @ x`` for the current x, ``lam`` the dual multiplier,
+    ``gamma`` the step size in use and ``k`` the number of completed sweeps.
+    ``solve`` keeps one per estimated run, refreshed in place each sweep, to
+    pass the iterates to ``estimate_step``.
     """
 
-    x: np.ndarray
-    z: np.ndarray
+    ax: np.ndarray
     lam: np.ndarray
     gamma: float
     k: int = 0
-    ax: np.ndarray = None
 
 
 @dataclass(frozen=True)
@@ -244,6 +243,9 @@ def drs_step(zeta, spec: ProblemSpec, gamma: float, theta: float = 0.5):
     return _drs_sweep(spec, theta)(zeta, gamma)[0]
 
 
+# an overflow is reported through the run's outcomes (an infinite residue,
+# or ArithmeticError for a non-finite iterate), not as a numpy warning
+@np.errstate(over="ignore", invalid="ignore")
 def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
           trace: bool = False, *, columns: bool = True) -> RunRecord:
     """Run the splitting solver under a step-size plan.
@@ -315,14 +317,13 @@ def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
     iterations_to_tol = 0 if math.isinf(rule.tol) else None
     max_iter = 0 if math.isinf(rule.tol) else rule.max_iter
     # the estimator reads one state per run, refreshed in place each sweep
-    state = SolverState(x=None, z=None, lam=None, gamma=gamma) if plan.mode == _tuner.ESTIMATED else None
+    state = SolverState(ax=None, lam=None, gamma=gamma) if plan.mode == _tuner.ESTIMATED else None
     sweep = _drs_sweep(spec, rule.theta)
     objective = spec.eval_objective if columns else None
     sigma_new = sigma
     for k in range(1, max_iter + 1):
         if state is not None and k >= 2:
-            state.x, state.z, state.lam, state.ax = x, z, lam, ax
-            state.gamma, state.k = gamma, k - 1
+            state.ax, state.lam, state.gamma, state.k = ax, lam, gamma, k - 1
             new_gamma = _tuner.estimate_step(state, plan)
             if new_gamma != gamma:
                 gamma = new_gamma

@@ -187,9 +187,7 @@ def estimate_step(state, plan: StepSizePlan) -> float:
     ----------
     state : SolverState
         Must have completed at least one sweep (``state.k >= 1``).  Reads
-        ``state.ax`` (falling back to ``state.x`` when the constraint map is
-        the identity and ``ax`` was never filled), ``state.lam``, and
-        ``state.gamma``.
+        ``state.ax``, ``state.lam``, and ``state.gamma``.
     plan : StepSizePlan
         Mode must be ESTIMATED.
 
@@ -213,7 +211,7 @@ def estimate_step(state, plan: StepSizePlan) -> float:
     current = float(state.gamma)
     if plan.freeze_after is not None and state.k >= plan.freeze_after:
         return current
-    ax = np.asarray(state.ax if state.ax is not None else state.x, dtype=float).ravel()
+    ax = np.asarray(state.ax, dtype=float).ravel()
     lam = np.asarray(state.lam, dtype=float).ravel()
     # the quartic's b = d = 0 case: a = ||A x||^2 and e = -||lam||^2 are
     # its whole input, checked as build_coefficients checks them

@@ -116,6 +116,37 @@ def test_config_file_layering(tmp_path):
     assert (out / "qp_desk_seed4_summary.json").is_file()
 
 
+# a value for every option, none of them its default
+_SAMPLES = {"kind": "lasso", "profile": "paper", "seed": "7", "out": "elsewhere",
+            "plans": "pair:2", "tol": "1e-05", "max_iter": "77", "theta": "0.25",
+            "init": "structure", "update_threshold": "0.125", "freeze_after": "9",
+            "strict": "yes", "gamma_min": "0.01", "gamma_max": "20", "points": "5"}
+_OPTIONS = [(command, key, action) for command, sub in cli._build_parser()[1].items()
+            for key, action in cli._config_keys(sub).items()]
+
+
+def _parsed(argv):
+    """Parsed options, with config plans under ``plans`` and ``--config`` dropped."""
+    args = vars(cli._parse_args(argv))
+    del args["config"]
+    config_plans = args.pop("config_plans", None)
+    if config_plans:
+        args["plans"] = config_plans
+    return args
+
+
+@pytest.mark.parametrize("command,key,action", _OPTIONS,
+                         ids=[f"{command}-{key}" for command, key, _ in _OPTIONS])
+def test_config_key_parses_like_its_flag(tmp_path, command, key, action):
+    value = _SAMPLES[action.dest]
+    flag = action.option_strings[0]
+    config = tmp_path / "bench.ini"
+    config.write_text(f"[{command}]\n{key} = {value}\n")
+    from_flag = _parsed([command, flag] + ([] if action.nargs == 0 else [value]))
+    assert from_flag != _parsed([command])
+    assert _parsed([command, "--config", str(config)]) == from_flag
+
+
 def test_config_errors_exit_two(tmp_path, capsys):
     missing = tmp_path / "nope.ini"
     assert run_cli(["run", "--config", str(missing), "--kind", "qp",
@@ -189,6 +220,15 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert "profile" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token", ["warp:1", "pair:-1"])
+def test_bad_plan_token_writes_no_csv(tmp_path, capsys, token):
+    out = tmp_path / "partial"
+    assert run_cli(["run", "--kind", "qp", "--plan", "fixed", "--plan", token,
+                    "--out", str(out)]) == 2
+    assert token in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_strict_flag_turns_nonconvergence_into_exit_three(tmp_path):
     out = str(tmp_path / "strict")
     args = ["run", "--kind", "lasso", "--plan", "fixed:1e-3", "--max-iter", "5",
@@ -219,6 +259,28 @@ def test_grid_outputs(tmp_path):
     assert payload["best_iterations"] == best_iters
     assert payload["converged_points"] == sum(row[2] == "true" for row in rows)
     assert isinstance(payload["boundary_hit"], bool)
+
+
+def test_grid_records_a_failing_point_and_goes_on(tmp_path, capsys):
+    # tv's x-step rejects gamma = 1e150 and 1e300 with ValueError
+    out = tmp_path / "tv"
+    args = ["grid", "--kind", "tv", "--gamma-min", "1", "--gamma-max", "1e300",
+            "--points", "3", "--max-iter", "20", "--out", str(out)]
+    assert run_cli(args) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and "gamma=1e+150 failed" in err[0] and "gamma=1e+300 failed" in err[1]
+    assert (out / "tv_desk_seed0_grid.csv").read_text().splitlines() == [
+        "gamma,iterations_to_tol,converged", "1.0,,false", "1e+150,,false", "1e+300,,false"]
+    payload = json.loads((out / "tv_desk_seed0_grid.json").read_text())
+    assert payload["converged_points"] == 0 and payload["best_iterations"] is None
+    assert run_cli(args + ["--strict"]) == 3
+
+    # a step size the plan rejects still stops the sweep before any solve
+    never = tmp_path / "never"
+    assert run_cli(["grid", "--kind", "qp", "--gamma-min", "1e-320", "--gamma-max", "1",
+                    "--points", "3", "--out", str(never)]) == 2
+    assert "finite reciprocal" in capsys.readouterr().err
+    assert not never.exists()
 
 
 def test_grid_validation(tmp_path, capsys):

@@ -82,10 +82,9 @@ def test_divergent_iterates_raise():
         prox_g=lambda w, g: -w,
         p=2,
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ArithmeticError):
-            solve(spec, StepSizePlan.fixed(1.0), init=(np.zeros(2), np.ones(2), np.zeros(2)),
-                  rule=TerminationRule(max_iter=5))
+    with pytest.raises(ArithmeticError):
+        solve(spec, StepSizePlan.fixed(1.0), init=(np.zeros(2), np.ones(2), np.zeros(2)),
+              rule=TerminationRule(max_iter=5))
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
@@ -95,9 +94,8 @@ def test_solve_rejects_non_finite_iterate(value):
         prox_g=lambda w, g: -w,
         p=2,
     )
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(ArithmeticError):
-            solve(spec, StepSizePlan.fixed(1.0), rule=TerminationRule(max_iter=5))
+    with pytest.raises(ArithmeticError):
+        solve(spec, StepSizePlan.fixed(1.0), rule=TerminationRule(max_iter=5))
 
 
 def test_solve_records_overflowing_residue_of_finite_iterates():
@@ -107,8 +105,7 @@ def test_solve_records_overflowing_residue_of_finite_iterates():
         prox_g=lambda w, g: np.zeros_like(w),
         p=2,
     )
-    with np.errstate(over="ignore"):
-        rec = solve(spec, StepSizePlan.fixed(1.0), rule=TerminationRule(max_iter=3))
+    rec = solve(spec, StepSizePlan.fixed(1.0), rule=TerminationRule(max_iter=3))
     assert rec.iterations == 3 and not rec.converged
     assert all(np.isinf(row[2]) for row in rec.rows)
     assert np.all(np.isfinite(rec.zeta_unscaled))

@@ -128,17 +128,17 @@ def test_plan_validation_and_description():
 
 def test_estimate_step_guards():
     plan = StepSizePlan.estimated()
-    good = SolverState(x=np.ones(4), z=np.ones(4), lam=2.0 * np.ones(4), gamma=1.0, k=3)
+    good = SolverState(ax=np.ones(4), lam=2.0 * np.ones(4), gamma=1.0, k=3)
     assert estimate_step(good, plan) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         estimate_step(good, StepSizePlan.fixed(1.0))
-    fresh = SolverState(x=np.ones(4), z=np.ones(4), lam=np.ones(4), gamma=1.0, k=0)
+    fresh = SolverState(ax=np.ones(4), lam=np.ones(4), gamma=1.0, k=0)
     with pytest.raises(ValueError):
         estimate_step(fresh, plan)
 
 
 def test_estimate_step_freeze_and_threshold():
-    state = SolverState(x=np.ones(4), z=np.ones(4), lam=2.0 * np.ones(4), gamma=1.0, k=10)
+    state = SolverState(ax=np.ones(4), lam=2.0 * np.ones(4), gamma=1.0, k=10)
     frozen = StepSizePlan.estimated(freeze_after=5)
     assert estimate_step(state, frozen) == 1.0
     coarse = StepSizePlan.estimated(update_threshold=2.0)
@@ -149,27 +149,25 @@ def test_estimate_step_freeze_and_threshold():
 
 def test_estimate_step_degenerate_iterates_keep_gamma():
     plan = StepSizePlan.estimated()
-    state = SolverState(x=np.zeros(4), z=np.zeros(4), lam=np.ones(4), gamma=0.7, k=2)
+    state = SolverState(ax=np.zeros(4), lam=np.ones(4), gamma=0.7, k=2)
     assert estimate_step(state, plan) == 0.7
-    state = SolverState(x=np.ones(4), z=np.zeros(4), lam=1e-14 * np.ones(4), gamma=0.7, k=2)
+    state = SolverState(ax=np.ones(4), lam=1e-14 * np.ones(4), gamma=0.7, k=2)
     assert estimate_step(state, plan) == 0.7
 
 
 def test_estimate_step_accepts_array_like_iterates():
     plan = StepSizePlan.estimated()
-    want = estimate_step(SolverState(x=np.ones(4), z=np.ones(4), lam=2.0 * np.ones(4),
-                                     gamma=1.0, k=3), plan)
-    for x, lam in (([1, 1, 1, 1], [2, 2, 2, 2]),
-                   (np.ones((2, 2)), 2.0 * np.ones((2, 2))),
-                   (np.ones(4, dtype=int), np.full(4, 2, dtype=int))):
-        state = SolverState(x=x, z=np.ones(4), lam=lam, gamma=1.0, k=3)
+    want = estimate_step(SolverState(ax=np.ones(4), lam=2.0 * np.ones(4), gamma=1.0, k=3), plan)
+    for ax, lam in (([1, 1, 1, 1], [2, 2, 2, 2]),
+                    (np.ones((2, 2)), 2.0 * np.ones((2, 2))),
+                    (np.ones(4, dtype=int), np.full(4, 2, dtype=int))):
+        state = SolverState(ax=ax, lam=lam, gamma=1.0, k=3)
         assert estimate_step(state, plan) == want
 
 
-def test_estimate_step_prefers_cached_constraint_image():
+def test_estimate_step_reads_the_constraint_image():
     plan = StepSizePlan.estimated()
-    state = SolverState(x=np.ones(4), z=np.ones(4), lam=np.ones(4), gamma=1.0, k=2,
-                        ax=4.0 * np.ones(4))
+    state = SolverState(ax=4.0 * np.ones(4), lam=np.ones(4), gamma=1.0, k=2)
     assert estimate_step(state, plan) == pytest.approx(0.25)
 
 
@@ -244,16 +242,16 @@ def test_zero_start_estimate_is_the_gamma_general_bits():
         n = int(rng.integers(1, 50))
         ax = rng.normal(size=n) * 10.0 ** rng.uniform(-5.0, 5.0)
         lam = rng.normal(size=n) * 10.0 ** rng.uniform(-5.0, 5.0)
-        state = SolverState(x=None, z=None, lam=lam, gamma=1.0, k=1, ax=ax)
+        state = SolverState(ax=ax, lam=lam, gamma=1.0, k=1)
         assert estimate_step(state, plan) == gamma_general(ax, lam)
 
 
 def test_estimate_step_overflowing_iterates_raise():
     plan = StepSizePlan.estimated()
-    big = SolverState(x=np.full(4, 1e200), z=np.ones(4), lam=np.ones(4), gamma=1.0, k=2)
+    big = SolverState(ax=np.full(4, 1e200), lam=np.ones(4), gamma=1.0, k=2)
     with pytest.raises(ValueError, match="coefficient a must be finite"):
         estimate_step(big, plan)
-    big = SolverState(x=np.ones(4), z=np.ones(4), lam=np.full(4, 1e200), gamma=1.0, k=2)
+    big = SolverState(ax=np.ones(4), lam=np.full(4, 1e200), gamma=1.0, k=2)
     with pytest.raises(ValueError, match="coefficient e must be finite"):
         estimate_step(big, plan)
 
