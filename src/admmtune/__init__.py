@@ -27,7 +27,6 @@ from .prox import (
     CLASSICAL,
     NEW,
     PROX_KINDS,
-    ConjugatePair,
     ProxHandle,
     catalog_prox,
     moreau_complement,
@@ -77,7 +76,6 @@ __all__ = [
     "CLASSICAL",
     "NEW",
     "PROX_KINDS",
-    "ConjugatePair",
     "ProxHandle",
     "catalog_prox",
     "moreau_complement",

@@ -9,12 +9,12 @@ generate       write a problem instance as JSON
 
 Every option can also come from an INI config file (``--config``); explicit
 flags win over the file, which wins over built-in defaults.  Options shared
-by all subcommands may live in a ``[common]`` section, subcommand-specific
-ones in ``[run]``, ``[grid]``, ``[contradiction]``, or ``[generate]``.  A
-key is an option's long flag without ``--`` (``plans`` for ``--plan``), and
-its value is converted as the flag's is.  A key that no option of its
-section takes, or a value its option rejects, is a configuration error, even
-where a flag overrides it::
+by all subcommands may live in a ``[common]`` section (or, read after it, in
+``[DEFAULT]``), subcommand-specific ones in ``[run]``, ``[grid]``,
+``[contradiction]``, or ``[generate]``.  A key is an option's long flag
+without ``--`` (``plans`` for ``--plan``), and its value is converted as the
+flag's is.  A key that no option of its section takes, or a value its option
+rejects, is a configuration error, even where a flag overrides it::
 
     [common]
     kind = lasso
@@ -86,36 +86,38 @@ def _config_keys(subparser):
 def _load_config(path, subparsers, command):
     """Make an INI file's values the defaults of ``subparsers[command]``.
 
-    Every section and key must be known: a ``[common]`` (or ``[DEFAULT]``)
+    Every section and key must be known: a ``[common]`` or ``[DEFAULT]``
     key is valid if any subcommand takes it, a section named after a
     subcommand takes that subcommand's keys.  Each key ``command`` takes is
     converted as its flag converts it, from its own section if that has the
-    key, else from ``[common]``.  Config plans go to ``config_plans``, since
-    ``--plan`` flags would append to a ``plans`` default.
+    key, else from ``[common]``, else from ``[DEFAULT]``.  Config plans go
+    to ``config_plans``, since ``--plan`` flags would append to a ``plans``
+    default.
     """
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     cfg = configparser.ConfigParser()
+    # which section sets a key: no section header is empty, so here [DEFAULT]
+    # is an ordinary section whose keys do not show through the others
+    owners = configparser.ConfigParser(default_section="", interpolation=None)
     try:
         cfg.read(path)
+        owners.read(path)
     except configparser.Error as err:
         raise ConfigError(f"{path}: {err}") from None
     keys = {name: set(_config_keys(p)) for name, p in subparsers.items()}
     common = set().union(*keys.values())
-    keys.update({"common": common, cfg.default_section: common})
-    defaults = set(cfg.defaults())
-    for section in [cfg.default_section] + cfg.sections():
+    keys.update({"common": common, "DEFAULT": common})
+    for section in owners.sections():
         if section not in keys:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        # every section also lists the [DEFAULT] keys, checked on their own
-        names = defaults if section == cfg.default_section else set(cfg.options(section)) - defaults
-        unknown = sorted(names - keys[section])
+        unknown = sorted(set(owners.options(section)) - keys[section])
         if unknown:
             raise ConfigError(f"{path}: [{section}] unknown key {unknown[0]!r}; "
                               f"known keys: {', '.join(sorted(keys[section]))}")
     values = {}
     for key, action in _config_keys(subparsers[command]).items():
-        section = next((s for s in (command, "common") if cfg.has_option(s, key)), None)
+        section = next((s for s in (command, "common", "DEFAULT") if owners.has_option(s, key)), None)
         if section is None:
             continue
         raw = cfg.get(section, key)

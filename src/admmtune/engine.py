@@ -58,8 +58,10 @@ class ProblemSpec:
     c : ndarray or None
         Right-hand side, shape (p,).  None means zero.  A, B and c must be
         finite (ValueError otherwise).
-    n, m, p : int or None
-        Dimensions; required only when not inferable from A, B, c.
+    p : int or None
+        Constraint dimension; required only when none of A, B, c is given.
+        The variable dimensions ``n`` and ``m`` are the column counts of A
+        and B, or ``p`` where the map is None.
     rank_check : bool
         When True (default), dense A and B are required to have full column
         rank (smallest/largest singular value ratio above 1e-10).  Builders
@@ -68,7 +70,7 @@ class ProblemSpec:
     """
 
     def __init__(self, prox_f, prox_g, objective=None, A=None, B=None, c=None,
-                 n=None, m=None, p=None, rank_check=True):
+                 p=None, rank_check=True):
         self.prox_f = prox_f
         self.prox_g = prox_g
         self.objective = objective
@@ -96,18 +98,8 @@ class ProblemSpec:
             raise ValueError(f"inconsistent constraint dimensions: {p_candidates}")
         self.p = sizes.pop()
 
-        self.n = self.A.shape[1] if self.A is not None else (int(n) if n is not None else self.p)
-        if self.A is None and self.n != self.p:
-            raise ValueError(f"A=None means the identity map, which needs n == p, got n={self.n}, p={self.p}")
-        if n is not None and int(n) != self.n:
-            raise ValueError(f"n={n} contradicts A with {self.A.shape[1]} columns")
-
-        self.m = self.B.shape[1] if self.B is not None else (int(m) if m is not None else self.p)
-        if self.B is None and self.m != self.p:
-            raise ValueError(f"B=None means minus the identity, which needs m == p, got m={self.m}, p={self.p}")
-        if m is not None and int(m) != self.m:
-            raise ValueError(f"m={m} contradicts B with {self.B.shape[1]} columns")
-
+        self.n = self.p if self.A is None else self.A.shape[1]
+        self.m = self.p if self.B is None else self.B.shape[1]
         self.c = np.zeros(self.p) if c is None else c
         for name, M in (("A", self.A), ("B", self.B), ("c", self.c)):
             if M is not None:
@@ -256,14 +248,13 @@ def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
     plan : StepSizePlan
         Fixed gamma, successive estimation, or the closed-form optimal gamma
         from a known solution pair.
-    init : None, ndarray, or (x0, z0, lam0)
-        None starts from the zero vector.  A bare array is the unscaled
-        fixed-point vector ``zeta^0 = sqrt(gamma) A x + lam / sqrt(gamma)``
-        to start from (an oracle plan with its own ``zeta0`` supplies that
-        vector when ``init`` is None).  A triple is mapped into the loop by
-        one priming x step so that recorded residues are genuine fixed-point
-        gaps from the first sweep on.  A start with a non-finite entry raises
-        ValueError before any sweep.
+    init : None or ndarray
+        The unscaled fixed-point vector
+        ``zeta^0 = sqrt(gamma) A x + lam / sqrt(gamma)`` to start from, of
+        length ``spec.p``.  None starts from the zero vector, or from the
+        oracle plan's own ``zeta0`` when it has one.  A start with a
+        non-finite entry raises ValueError before any sweep, and so does an
+        oracle plan whose ``ax_star`` does not have length ``spec.p``.
     rule : TerminationRule
         Defaults to tol 1e-6, max_iter 10000, theta 0.5.  tol = inf returns
         immediately after 0 sweeps with an empty history.
@@ -285,6 +276,9 @@ def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
         rule = TerminationRule()
     t0 = time.perf_counter()
     if plan.mode == _tuner.ORACLE:
+        # gamma_general ties lambda_star and zeta0 to the size of ax_star
+        if np.size(plan.ax_star) != spec.p:
+            raise ValueError(f"an oracle plan's ax_star must have length {spec.p}, got {np.size(plan.ax_star)}")
         gamma = float(_tuner.gamma_general(plan.ax_star, plan.lambda_star, plan.zeta0))
         if init is None:
             init = plan.zeta0
@@ -295,21 +289,11 @@ def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
 
     # the newest iterates; ax caches A @ x
     x = z = lam = ax = None
-    if isinstance(init, (tuple, list)):
-        x0, z, lam = (np.asarray(a, dtype=float).ravel() for a in init)
-        for name, v, size in (("x0", x0, spec.n), ("z0", z, spec.m), ("lam0", lam, spec.p)):
-            if v.size != size:
-                raise ValueError(f"{name} must have length {size}, got {v.size}")
-            _require_finite(name, v)
-        x = spec.prox_f(spec.c - spec.apply_B(z) - lam / gamma, gamma)
-        ax = spec.apply_A(x)
-        sigma = ax + lam / gamma
-    else:
-        zeta_u = np.zeros(spec.p) if init is None else np.asarray(init, dtype=float).ravel()
-        if zeta_u.size != spec.p:
-            raise ValueError(f"zeta0 must have length {spec.p}, got {zeta_u.size}")
-        _require_finite("zeta0", zeta_u)
-        sigma = zeta_u / rg
+    zeta_u = np.zeros(spec.p) if init is None else np.asarray(init, dtype=float).ravel()
+    if zeta_u.size != spec.p:
+        raise ValueError(f"zeta0 must have length {spec.p}, got {zeta_u.size}")
+    _require_finite("zeta0", zeta_u)
+    sigma = zeta_u / rg
 
     rows = []
     traced = {"sigma": [sigma.copy()], "y_one": [None]} if trace else None

@@ -170,7 +170,7 @@ def _spec_lp(dims, data, params):
         return float(cost @ x)
 
     return ProblemSpec(_x_step(catalog_prox("quad_affine", P=np.zeros((n, n)), q=cost, A=A, b=b)),
-                       _z_step(catalog_prox("nonneg", dim=n)), objective, n=n, p=n)
+                       _z_step(catalog_prox("nonneg", dim=n)), objective, p=n)
 
 
 def _start_lp(data, spec):
@@ -201,7 +201,7 @@ def _spec_qp(dims, data, params):
 
     return ProblemSpec(_x_step(catalog_prox("quad_affine", P=P, q=q)),
                        _z_step(catalog_prox("box", dim=n, lower=data["lower"], upper=data["upper"])),
-                       objective, n=n, p=n)
+                       objective, p=n)
 
 
 def _start_qp(data, spec):
@@ -275,7 +275,7 @@ def _spec_bp(dims, data, params):
         return float(alpha * np.abs(z).sum())
 
     return ProblemSpec(_x_step(catalog_prox("affine_set", A=A, b=b)),
-                       _z_step(catalog_prox("l1", dim=n, weight=alpha)), objective, n=n, p=n)
+                       _z_step(catalog_prox("l1", dim=n, weight=alpha)), objective, p=n)
 
 
 def _draw_lasso(rng, dims, params):
@@ -329,7 +329,7 @@ def _spec_lasso(dims, data, params):
         res = residual(x)
         return float(0.5 * res @ res + alpha * np.abs(z).sum())
 
-    return ProblemSpec(prox_f, _z_step(catalog_prox("l1", dim=n, weight=alpha)), objective, n=n, p=n)
+    return ProblemSpec(prox_f, _z_step(catalog_prox("l1", dim=n, weight=alpha)), objective, p=n)
 
 
 def _difference_matrix(n):
@@ -395,7 +395,7 @@ def _spec_sics(dims, data, params):
         return float(np.trace(S @ X) - logdet + alpha * np.abs(z).sum())
 
     return ProblemSpec(_x_step(catalog_prox("logdet_quad", n=n, S=S)),
-                       _z_step(catalog_prox("l1", dim=n * n, weight=alpha)), objective, n=n * n, p=n * n)
+                       _z_step(catalog_prox("l1", dim=n * n, weight=alpha)), objective, p=n * n)
 
 
 def _zero_start(data, spec):
@@ -483,16 +483,19 @@ def generate_data(kind: str, dims: dict = None, seed: int = 0, params: dict = No
     return _describe(kind, int(seed), dims, params_out, data)
 
 
-def compute_oracle(instance: ProblemInstance, tol: float = 1e-10,
-                   max_iter: int = 200_000, refresh: bool = False, *,
-                   prefix=None) -> OracleSolution:
+# the reference run behind every oracle pair
+_ORACLE_RULE = TerminationRule(tol=1e-10, max_iter=200_000)
+
+
+def compute_oracle(instance: ProblemInstance, *, prefix=None) -> OracleSolution:
     """High-accuracy solution pair, cached on the instance.
 
     Runs the solver from the zero start at unit step size until the unscaled
-    residue drops to ``tol``, which must be finite (ValueError otherwise).
-    The run records no objective or infeasibility column, which nothing here
-    reads.  A run that ends above ``tol`` after ``max_iter`` sweeps raises
-    ArithmeticError.
+    residue drops to ``tol = 1e-10``, for at most ``max_iter = 200000``
+    sweeps.  The run records no objective or infeasibility column, which
+    nothing here reads.  A run that ends above ``tol`` after ``max_iter``
+    sweeps raises ArithmeticError.  A cached pair is returned as it is; set
+    ``instance.oracle = None`` to recompute it.
 
     ``prefix`` (keyword-only) is a record of the start of that same run:
     ``solve(instance.spec, StepSizePlan.fixed(1.0), init=None, rule)`` with
@@ -511,8 +514,7 @@ def compute_oracle(instance: ProblemInstance, tol: float = 1e-10,
     to it: an estimated-plan reference run to the same ``tol`` ends at
     another multiplier, whose zero-start step size differs by about 1%.
     """
-    if not math.isfinite(tol):
-        raise ValueError(f"a reference run needs a finite tol, got {tol}")
+    tol, max_iter = _ORACLE_RULE.tol, _ORACLE_RULE.max_iter
     unit = tuner.StepSizePlan.fixed(1.0)
     if prefix is not None:
         # describe() rounds gamma to 6 digits, so the exact value is checked too
@@ -522,7 +524,7 @@ def compute_oracle(instance: ProblemInstance, tol: float = 1e-10,
         if prefix.zeta_unscaled is None or np.size(prefix.zeta_unscaled) != instance.spec.p:
             raise ValueError(f"a reference-run prefix needs zeta_unscaled of length "
                              f"{instance.spec.p}, got {np.size(prefix.zeta_unscaled)}")
-    if instance.oracle is not None and not refresh:
+    if instance.oracle is not None:
         return instance.oracle
     # rec holds the final iterates; the first `done` sweeps come from the prefix
     rec, done = None, 0

@@ -43,7 +43,6 @@ __all__ = [
     "CLASSICAL",
     "NEW",
     "ProxHandle",
-    "ConjugatePair",
     "translate_classical_to_new",
     "translate_new_to_classical",
     "moreau_complement",
@@ -64,12 +63,18 @@ _TINY = np.finfo(float).tiny
 class ProxHandle:
     """A proximal operator together with its parameter convention.
 
+    Calling the handle, ``handle(v, t)``, is the checked path: it flattens
+    ``v`` and raises ValueError unless ``v`` has length ``dim`` and ``t`` is
+    finite, positive for CLASSICAL and nonzero for NEW.  ``evaluate`` is the
+    unchecked path for callers that guarantee both, such as the zoo's
+    solver steps.
+
     Attributes
     ----------
     evaluate : callable
-        ``evaluate(v, t) -> ndarray``.  For convention CLASSICAL the
-        parameter is the penalty ``gamma > 0``; for NEW it is the argument
-        scale ``rho != 0``.
+        ``evaluate(v, t) -> ndarray`` for a flat float vector ``v``.  For
+        convention CLASSICAL the parameter is the penalty ``gamma > 0``; for
+        NEW it is the argument scale ``rho != 0``.
     convention : str
         Either ``CLASSICAL`` or ``NEW``.
     dim : int
@@ -93,44 +98,22 @@ class ProxHandle:
         t = float(t)
         if not np.isfinite(t):
             raise ValueError(f"parameter must be finite, got {t}")
+        if self.convention == CLASSICAL and not t > 0.0:
+            raise ValueError(f"penalty gamma must be positive, got {t}")
+        if t == 0.0:
+            raise ValueError("right-scaled parameter must be nonzero")
         return self.evaluate(v, t)
-
-
-@dataclass(frozen=True)
-class ConjugatePair:
-    """A right-scaled operator bundled with its convex-conjugate counterpart.
-
-    Satisfies ``primal(v, rho) + conjugate(v, 1/rho) == v`` for every v and
-    every ``rho != 0``.
-    """
-
-    primal: ProxHandle
-    conjugate: ProxHandle
-
-    def __post_init__(self):
-        if self.primal.convention != NEW or self.conjugate.convention != NEW:
-            raise ValueError("both handles of a ConjugatePair must use the NEW convention")
-        if self.primal.dim != self.conjugate.dim:
-            raise ValueError("primal and conjugate handles must share a dimension")
-
-    @classmethod
-    def from_primal(cls, primal: ProxHandle) -> "ConjugatePair":
-        """Derive the conjugate operator through the Moreau identity."""
-        return cls(primal=primal, conjugate=moreau_complement(primal))
 
 
 def translate_classical_to_new(handle: ProxHandle) -> ProxHandle:
     """Re-express a classical handle in the right-scaled convention.
 
     Uses ``prox_new(v, rho) = (1/rho) * prox_classical(rho*v, rho**2)``.
-    The returned handle rejects ``rho == 0``.
     """
     if handle.convention != CLASSICAL:
         raise ValueError(f"expected a {CLASSICAL} handle, got {handle.convention}")
 
     def evaluate(v, rho):
-        if rho == 0.0:
-            raise ValueError("right-scaled parameter rho must be nonzero")
         return handle.evaluate(rho * v, rho * rho) / rho
 
     return ProxHandle(evaluate=evaluate, convention=NEW, dim=handle.dim)
@@ -140,13 +123,11 @@ def translate_new_to_classical(handle: ProxHandle) -> ProxHandle:
     """Re-express a right-scaled handle in the classical convention.
 
     Uses ``prox_classical(v, gamma) = sqrt(gamma) * prox_new(v/sqrt(gamma), sqrt(gamma))``.
-    The returned handle rejects ``gamma <= 0``.
     """
     if handle.convention != NEW:
         raise ValueError(f"expected a {NEW} handle, got {handle.convention}")
 
     def evaluate(v, gamma):
-        _require_positive(gamma)
         s = np.sqrt(gamma)
         return s * handle.evaluate(v / s, s)
 
@@ -163,8 +144,6 @@ def moreau_complement(handle: ProxHandle) -> ProxHandle:
         raise ValueError(f"expected a {NEW} handle, got {handle.convention}")
 
     def evaluate(v, sigma):
-        if sigma == 0.0:
-            raise ValueError("right-scaled parameter sigma must be nonzero")
         return v - handle.evaluate(v, 1.0 / sigma)
 
     return ProxHandle(evaluate=evaluate, convention=NEW, dim=handle.dim)
@@ -224,11 +203,6 @@ def _wide_gram_solver(A, d):
     return solve, ud
 
 
-def _require_positive(gamma):
-    if not gamma > 0.0:
-        raise ValueError(f"penalty gamma must be positive, got {gamma}")
-
-
 def _check_full_rank(s, rank, message):
     """Raise ValueError(message) unless the descending singular values ``s`` show rank ``rank``."""
     if s.size != rank or rank == 0 or s[-1] < _RANK_TOL * s[0] or s[0] == 0.0:
@@ -266,7 +240,6 @@ def _entry_l1(dim, weight=1.0):
         raise ValueError(f"weight must be nonnegative, got {weight}")
 
     def evaluate(v, gamma):
-        _require_positive(gamma)
         return _soft_threshold(v, gamma * weight)
 
     return ProxHandle(evaluate, CLASSICAL, int(dim))
@@ -274,7 +247,6 @@ def _entry_l1(dim, weight=1.0):
 
 def _entry_nonneg(dim):
     def evaluate(v, gamma):
-        _require_positive(gamma)
         return np.maximum(v, 0.0)
 
     return ProxHandle(evaluate, CLASSICAL, int(dim))
@@ -289,7 +261,6 @@ def _entry_box(dim, lower, upper):
         raise ValueError("box bounds must satisfy lower <= upper elementwise")
 
     def evaluate(v, gamma):
-        _require_positive(gamma)
         return np.clip(v, lo, hi)
 
     return ProxHandle(evaluate, CLASSICAL, dim)
@@ -303,7 +274,6 @@ def _entry_affine_set(A, b):
     Vt, x0 = _affine_frame(A, b, full_matrices=False)
 
     def evaluate(v, gamma):
-        _require_positive(gamma)
         # v - A^+ (A v - b), with A^+ A = V V^T the row-space projector
         return v - Vt.T @ (Vt @ v) + x0
 
@@ -329,7 +299,6 @@ def _entry_quad_affine(P, q=None, A=None, b=None):
         solve = _shifted_solver(P)
 
         def evaluate(v, gamma):
-            _require_positive(gamma)
             return solve(1.0, gamma, v - gamma * q)
 
         return ProxHandle(evaluate, CLASSICAL, n)
@@ -349,7 +318,6 @@ def _entry_quad_affine(P, q=None, A=None, b=None):
         # a zero reduced Hessian (P = 0, as in a linear program): eigh would
         # give U = I and s = 0 exactly, so the shifted solve is the identity
         def evaluate(v, gamma):
-            _require_positive(gamma)
             return x0 + N @ (N.T @ (v - gamma * c))
 
         return ProxHandle(evaluate, CLASSICAL, n)
@@ -357,7 +325,6 @@ def _entry_quad_affine(P, q=None, A=None, b=None):
     solve = _shifted_solver(H)
 
     def evaluate(v, gamma):
-        _require_positive(gamma)
         return x0 + N @ solve(1.0, gamma, N.T @ (v - gamma * c))
 
     return ProxHandle(evaluate, CLASSICAL, n)
@@ -376,14 +343,12 @@ def _entry_lstsq(A, b):
         solve = _shifted_solver(A.T @ A)
 
         def evaluate(v, gamma):
-            _require_positive(gamma)
             return solve(1.0, gamma, v + gamma * atb)
 
     else:
         solve, _ = _wide_gram_solver(A, b)
 
         def evaluate(v, gamma):
-            _require_positive(gamma)
             return solve(1.0, gamma, v + gamma * atb)[0]
 
     return ProxHandle(evaluate, CLASSICAL, n)
@@ -398,7 +363,6 @@ def _entry_huber(dim, delta=1.0, weight=1.0):
         raise ValueError(f"weight must be nonnegative, got {weight}")
 
     def evaluate(v, gamma):
-        _require_positive(gamma)
         t = gamma * weight
         quad = v / (1.0 + t)
         lin = v - t * delta * np.sign(v)
@@ -432,7 +396,6 @@ def _entry_tv_quad(n, target=None):
         arr.setflags(write=False)
 
     def evaluate(v, gamma):
-        _require_positive(gamma)
         w = v + gamma * shift
         return np.fft.irfft(np.fft.rfft(np.concatenate([w, w[::-1]])) / (1.0 + gamma * s), 2 * n)[:n]
 
@@ -454,7 +417,6 @@ def _entry_logdet_quad(n, S=None):
             raise ValueError("S must be symmetric")
 
     def evaluate(v, gamma):
-        _require_positive(gamma)
         V = v.reshape(n, n)
         M = 0.5 * (V + V.T) - gamma * S
         w, Q = np.linalg.eigh(M)

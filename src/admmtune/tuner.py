@@ -16,10 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quartic import (
-    DegenerateProblemError,
     _biquadratic_root,
     _finite_dot,
-    _require_finite,
     build_coefficients,
     optimal_gamma,
     solve_quartic,
@@ -152,22 +150,13 @@ def gamma_zero_init(ax_star, lambda_star) -> float:
     """Optimal step size for the zero start, ``||lambda_star|| / ||ax_star||``.
 
     This is the closed form the quartic reduces to when both mixed
-    coefficients vanish.  A non-finite entry in either vector, or a squared
-    norm that overflows, raises ValueError; a zero vector raises
-    DegenerateProblemError.
+    coefficients vanish, ``sqrt(-e) / sqrt(a)``.  Its input is checked as
+    ``build_coefficients`` checks it: vectors of different sizes, a
+    non-finite entry or a squared norm that overflows raise ValueError; a
+    zero vector raises DegenerateProblemError.
     """
-    ax = np.asarray(ax_star, dtype=float).ravel()
-    lam = np.asarray(lambda_star, dtype=float).ravel()
-    _require_finite("ax_star", ax)
-    _require_finite("lambda_star", lam)
-    # the quartic route rejects the same overflowing squares
-    ax_nrm2 = _finite_dot(ax, ax, "||ax_star||^2")
-    lam_nrm2 = _finite_dot(lam, lam, "||lambda_star||^2")
-    if ax_nrm2 == 0.0:
-        raise DegenerateProblemError("ax_star is zero; the optimal step size is undefined")
-    if lam_nrm2 == 0.0:
-        raise DegenerateProblemError("lambda_star is zero; the optimal step size is undefined")
-    return math.sqrt(lam_nrm2) / math.sqrt(ax_nrm2)
+    c = build_coefficients(ax_star, lambda_star)
+    return math.sqrt(-c.e) / math.sqrt(c.a)
 
 
 def gamma_general(ax_star, lambda_star, zeta0=None) -> float:

@@ -116,6 +116,27 @@ def test_config_file_layering(tmp_path):
     assert (out / "qp_desk_seed4_summary.json").is_file()
 
 
+def test_config_default_section_is_the_lowest_layer(tmp_path):
+    # [DEFAULT] is read after [common], which is read after [run], whichever
+    # sections the file has
+    files = {
+        "alone": "[DEFAULT]\nkind = qp\nplans = fixed\n",
+        "under_common": "[DEFAULT]\nkind = qp\n[common]\nkind = lp\nplans = fixed\n",
+        "under_both": "[DEFAULT]\nkind = qp\nseed = 5\n[common]\nkind = lp\n"
+                      "[run]\nplans = fixed\nseed = 2\n",
+    }
+    for name, text in files.items():
+        config = tmp_path / f"{name}.ini"
+        config.write_text(text)
+        out = tmp_path / name
+        assert run_cli(["run", "--config", str(config), "--max-iter", "3", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == {
+            "alone": ["qp_desk_seed0_fixed-1.csv", "qp_desk_seed0_summary.json"],
+            "under_common": ["lp_desk_seed0_fixed-1.csv", "lp_desk_seed0_summary.json"],
+            "under_both": ["lp_desk_seed2_fixed-1.csv", "lp_desk_seed2_summary.json"],
+        }[name], name
+
+
 # a value for every option, none of them its default
 _SAMPLES = {"kind": "lasso", "profile": "paper", "seed": "7", "out": "elsewhere",
             "plans": "pair:2", "tol": "1e-05", "max_iter": "77", "theta": "0.25",

@@ -82,9 +82,8 @@ def test_divergent_iterates_raise():
         prox_g=lambda w, g: -w,
         p=2,
     )
-    with pytest.raises(ArithmeticError):
-        solve(spec, StepSizePlan.fixed(1.0), init=(np.zeros(2), np.ones(2), np.zeros(2)),
-              rule=TerminationRule(max_iter=5))
+    with pytest.raises(ArithmeticError, match="at sweep 2"):
+        solve(spec, StepSizePlan.fixed(1.0), init=np.ones(2), rule=TerminationRule(max_iter=5))
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
@@ -122,11 +121,6 @@ def test_non_finite_start_is_rejected(desk, kind):
             solve(spec, plan, init=bad)
         with pytest.raises(ValueError):
             drs_step(bad, spec, 1.0)
-        for slot in range(3):
-            triple = [np.zeros(spec.n), np.zeros(spec.m), np.zeros(spec.p)]
-            triple[slot] = np.full_like(triple[slot], value)
-            with pytest.raises(ValueError):
-                solve(spec, plan, init=tuple(triple))
 
 
 def test_halved_averaging_reproduces_sweeps():
@@ -244,17 +238,6 @@ def test_max_iter_without_convergence():
     assert rec.iterations == 7 and not rec.converged and rec.iterations_to_tol is None
 
 
-def test_zero_triple_runs_one_sweep_ahead():
-    # a triple start consumes one priming x step, so its run is the default
-    # run advanced by exactly one sweep
-    spec = small_spec(seed=9)
-    rule = TerminationRule(tol=1e-300, max_iter=20)
-    base = solve(spec, StepSizePlan.fixed(1.1), rule=rule)
-    primed = solve(spec, StepSizePlan.fixed(1.1),
-                   init=(np.zeros(6), np.zeros(6), np.zeros(6)), rule=rule)
-    assert np.allclose(primed.residues[:-1], base.residues[1:], atol=1e-12)
-
-
 def test_bare_vector_start_is_the_unscaled_iterate():
     spec = small_spec(seed=10)
     g = 2.5
@@ -333,3 +316,15 @@ def test_solve_checks_the_oracle_step_size_as_a_fixed_one():
     assert at.gamma_general(plan.ax_star, plan.lambda_star, plan.zeta0) == 0.0
     with pytest.raises(ValueError, match="initial gamma must be positive and finite"):
         solve(spec, plan)
+
+
+def test_oracle_plan_must_fit_the_spec(desk):
+    spec = desk("qp").spec
+    # a pair of another length would give a step size for another problem
+    with pytest.raises(ValueError, match="ax_star must have length 30, got 3"):
+        solve(spec, StepSizePlan.oracle(np.ones(3), 2 * np.ones(3)))
+    # lambda_star and zeta0 are tied to ax_star's length
+    with pytest.raises(ValueError, match="matching sizes"):
+        solve(spec, StepSizePlan.oracle(np.ones(30), np.ones(3)))
+    with pytest.raises(ValueError, match="zeta0 must have size 30"):
+        solve(spec, StepSizePlan.oracle(np.ones(30), np.ones(30), np.ones(3)))

@@ -290,17 +290,18 @@ def test_reference_run_prefix_must_be_the_unit_fixed_run():
     assert inst.oracle is None
 
 
-def test_reference_run_typed_errors():
+def test_reference_run_typed_errors(monkeypatch):
     inst = generate("qp", profile="desk", seed=ACCEPT_SEEDS["qp"])
-    with pytest.raises(ValueError, match="finite tol"):
-        compute_oracle(inst, tol=float("inf"))
+    monkeypatch.setattr(at.problems, "_ORACLE_RULE", TerminationRule(tol=1e-10, max_iter=0))
     with pytest.raises(ArithmeticError, match="stalled at residue nan after 0 sweeps"):
-        compute_oracle(inst, max_iter=0)
+        compute_oracle(inst)
     # a prefix as long as max_iter leaves the continuation no sweep to run
     prefix = at.solve(inst.spec, StepSizePlan.fixed(1.0), rule=TerminationRule())
+    monkeypatch.setattr(at.problems, "_ORACLE_RULE",
+                        TerminationRule(tol=1e-10, max_iter=prefix.iterations))
     stalled = f"stalled at residue {prefix.rows[-1][2]:.3e} after {prefix.iterations} sweeps"
     with pytest.raises(ArithmeticError, match=stalled):
-        compute_oracle(inst, max_iter=prefix.iterations, prefix=prefix)
+        compute_oracle(inst, prefix=prefix)
     assert inst.oracle is None
 
 
@@ -324,7 +325,8 @@ def test_oracle_is_cached_and_refreshable(desk):
     inst = generate("bp", profile="desk", seed=6)
     first = compute_oracle(inst)
     assert compute_oracle(inst) is first
-    again = compute_oracle(inst, refresh=True)
+    inst.oracle = None
+    again = compute_oracle(inst)
     assert again is not first
     assert np.allclose(again.x, first.x, atol=1e-9)
     assert first.residue <= 1e-10 and first.iterations >= 1

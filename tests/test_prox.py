@@ -14,7 +14,6 @@ from admmtune import (
     CLASSICAL,
     NEW,
     PROX_KINDS,
-    ConjugatePair,
     ProblemSpec,
     ProxHandle,
     catalog_prox,
@@ -107,16 +106,6 @@ def test_complement_matches_conjugate_closed_form():
         assert np.allclose(comp(v, tau), want, atol=1e-12)
 
 
-def test_conjugate_pair_bundles_complement():
-    new_l1 = translate_classical_to_new(catalog_prox("l1", dim=4))
-    pair = ConjugatePair.from_primal(new_l1)
-    rng = np.random.default_rng(3)
-    v = rng.normal(size=4)
-    assert np.allclose(pair.primal(v, 2.0) + pair.conjugate(v, 0.5), v, atol=1e-12)
-    with pytest.raises(ValueError):
-        ConjugatePair(primal=HANDLES["l1"], conjugate=new_l1)
-
-
 def test_translation_round_trips():
     rng = np.random.default_rng(4)
     for name, handle in HANDLES.items():
@@ -139,6 +128,22 @@ def test_translation_direction_checks():
         back(np.zeros(7), 0.0)
     with pytest.raises(ValueError):
         back(np.zeros(7), -1.0)
+
+
+@pytest.mark.parametrize("name", sorted(HANDLES))
+def test_handle_call_checks_the_parameter(name):
+    # the one check of the parameter is the handle's own, for every entry and
+    # every handle derived from it
+    handle = HANDLES[name]
+    new = translate_classical_to_new(handle)
+    v = np.zeros(handle.dim)
+    for classical in (handle, translate_new_to_classical(new)):
+        for t in (0.0, -1.0):
+            with pytest.raises(ValueError, match="penalty gamma must be positive"):
+                classical(v, t)
+    for right_scaled in (new, moreau_complement(new)):
+        with pytest.raises(ValueError, match="must be nonzero"):
+            right_scaled(v, 0.0)
 
 
 def test_firm_nonexpansiveness_all_entries():
@@ -556,8 +561,8 @@ def test_catalog_handles_are_firmly_nonexpansive(case):
 def test_catalog_handles_satisfy_the_moreau_identity(case, negative):
     name, v, _, scale = case
     rho = -scale if negative else scale
-    pair = ConjugatePair.from_primal(translate_classical_to_new(HANDLES[name]))
-    gap = pair.primal(v, rho) + pair.conjugate(v, 1.0 / rho) - v
+    new = translate_classical_to_new(HANDLES[name])
+    gap = new(v, rho) + moreau_complement(new)(v, 1.0 / rho) - v
     assert np.max(np.abs(gap)) <= 1e-9 * (1.0 + np.max(np.abs(v))), name
 
 

@@ -36,6 +36,9 @@ def test_zero_start_rejects_degenerate_vectors():
         gamma_zero_init(np.zeros(3), np.ones(3))
     with pytest.raises(DegenerateProblemError):
         gamma_zero_init(np.ones(3), np.zeros(3))
+    # a pair of two sizes is no solution pair, as on the quartic route
+    with pytest.raises(ValueError, match="matching sizes"):
+        gamma_zero_init([3.0, 4.0], [5.0])
     # squared norms that overflow, which the quartic route rejects too
     with pytest.raises(ValueError, match="must be finite"):
         gamma_zero_init([1e200] * 2, [1e200] * 2)
