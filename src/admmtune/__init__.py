@@ -16,95 +16,13 @@ The pieces, bottom up:
 - :mod:`admmtune.cli`: the ``admmtune`` command.
 """
 
-from .quartic import (
-    DegenerateProblemError,
-    QuarticCoefficients,
-    build_coefficients,
-    optimal_gamma,
-    solve_quartic,
-)
-from .prox import (
-    CLASSICAL,
-    NEW,
-    PROX_KINDS,
-    ProxHandle,
-    catalog_prox,
-    moreau_complement,
-    translate_classical_to_new,
-    translate_new_to_classical,
-)
-from .engine import (
-    ContradictionReport,
-    ProblemSpec,
-    RunRecord,
-    SolverState,
-    TerminationRule,
-    contradiction_demo,
-    drs_step,
-    solve,
-)
-from .tuner import (
-    ESTIMATED,
-    FIXED,
-    ORACLE,
-    OptimalPair,
-    StepSizePlan,
-    asymptotic_pair,
-    estimate_step,
-    gamma_general,
-    gamma_zero_init,
-    optimal_pair,
-)
-from .problems import (
-    KINDS,
-    PROFILES,
-    OracleSolution,
-    ProblemInstance,
-    compute_oracle,
-    generate,
-    generate_data,
-)
+from .quartic import *
+from .prox import *
+from .engine import *
+from .tuner import *
+from .problems import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DegenerateProblemError",
-    "QuarticCoefficients",
-    "build_coefficients",
-    "optimal_gamma",
-    "solve_quartic",
-    "CLASSICAL",
-    "NEW",
-    "PROX_KINDS",
-    "ProxHandle",
-    "catalog_prox",
-    "moreau_complement",
-    "translate_classical_to_new",
-    "translate_new_to_classical",
-    "ContradictionReport",
-    "ProblemSpec",
-    "RunRecord",
-    "SolverState",
-    "TerminationRule",
-    "contradiction_demo",
-    "drs_step",
-    "solve",
-    "ESTIMATED",
-    "FIXED",
-    "ORACLE",
-    "OptimalPair",
-    "StepSizePlan",
-    "asymptotic_pair",
-    "estimate_step",
-    "gamma_general",
-    "gamma_zero_init",
-    "optimal_pair",
-    "KINDS",
-    "PROFILES",
-    "OracleSolution",
-    "ProblemInstance",
-    "compute_oracle",
-    "generate",
-    "generate_data",
-    "__version__",
-]
+__all__ = [*quartic.__all__, *prox.__all__, *engine.__all__, *tuner.__all__, *problems.__all__,
+           "__version__"]

@@ -12,9 +12,10 @@ flags win over the file, which wins over built-in defaults.  Options shared
 by all subcommands may live in a ``[common]`` section (or, read after it, in
 ``[DEFAULT]``), subcommand-specific ones in ``[run]``, ``[grid]``,
 ``[contradiction]``, or ``[generate]``.  A key is an option's long flag
-without ``--`` (``plans`` for ``--plan``), and its value is converted as the
-flag's is.  A key that no option of its section takes, or a value its option
-rejects, is a configuration error, even where a flag overrides it::
+without ``--`` (``plans`` for ``--plan``), and its value, taken literally
+(``%`` interpolates nothing), is converted as the flag's is.  A key that no
+option of its section takes, or a value its option rejects, is a
+configuration error, even where a flag overrides it::
 
     [common]
     kind = lasso
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import math
 import os
@@ -96,28 +98,26 @@ def _load_config(path, subparsers, command):
     """
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
-    cfg = configparser.ConfigParser()
-    # which section sets a key: no section header is empty, so here [DEFAULT]
-    # is an ordinary section whose keys do not show through the others
-    owners = configparser.ConfigParser(default_section="", interpolation=None)
+    # no section header is empty, so here [DEFAULT] is an ordinary section
+    # whose keys do not show through the others
+    cfg = configparser.ConfigParser(default_section="", interpolation=None)
     try:
         cfg.read(path)
-        owners.read(path)
     except configparser.Error as err:
         raise ConfigError(f"{path}: {err}") from None
     keys = {name: set(_config_keys(p)) for name, p in subparsers.items()}
     common = set().union(*keys.values())
     keys.update({"common": common, "DEFAULT": common})
-    for section in owners.sections():
+    for section in cfg.sections():
         if section not in keys:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        unknown = sorted(set(owners.options(section)) - keys[section])
+        unknown = sorted(set(cfg.options(section)) - keys[section])
         if unknown:
             raise ConfigError(f"{path}: [{section}] unknown key {unknown[0]!r}; "
                               f"known keys: {', '.join(sorted(keys[section]))}")
     values = {}
     for key, action in _config_keys(subparsers[command]).items():
-        section = next((s for s in (command, "common", "DEFAULT") if owners.has_option(s, key)), None)
+        section = next((s for s in (command, "common", "DEFAULT") if cfg.has_option(s, key)), None)
         if section is None:
             continue
         raw = cfg.get(section, key)
@@ -153,6 +153,19 @@ def _json_text(payload):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _tag(args):
+    return f"{args.kind}_{args.profile}_seed{args.seed}"
+
+
+def _write_report(args, name, **fields):
+    """Write ``fields`` under the report header as ``<tag>_<name>.json``; return its path."""
+    header = {"schema": 1, "command": args.command, "kind": args.kind,
+              "profile": args.profile, "seed": args.seed}
+    path = os.path.join(args.out, f"{_tag(args)}_{name}.json")
+    _atomic_write(path, _json_text({**header, **fields}))
+    return path
+
+
 def _resolve_common(args):
     """Check the options every subcommand takes; return the instance's file tag."""
     if args.kind is None:
@@ -161,7 +174,7 @@ def _resolve_common(args):
         raise ConfigError(f"unknown kind {args.kind!r}; known kinds: {', '.join(problems.KINDS)}")
     if args.profile not in ("desk", "paper"):
         raise ConfigError(f"unknown profile {args.profile!r}; use 'desk' or 'paper'")
-    return f"{args.kind}_{args.profile}_seed{args.seed}"
+    return _tag(args)
 
 
 # plan names whose step size needs the reference solution pair
@@ -268,23 +281,10 @@ def _cmd_run(args):
         print(f"{tag} {token}: {status}, iterations={record.iterations}, "
               f"final_gamma={record.final_gamma:.6g}, csv={csv_name}")
 
-    summary = {
-        "schema": 1,
-        "command": "run",
-        "kind": args.kind,
-        "profile": args.profile,
-        "seed": args.seed,
-        "dims": dict(instance.dims),
-        "params": instance.params,
-        "tol": rule.tol,
-        "max_iter": rule.max_iter,
-        "theta": rule.theta,
-        "init": args.init,
-        "runs": summary_runs,
-    }
-    summary_name = f"{tag}_summary.json"
-    _atomic_write(os.path.join(args.out, summary_name), _json_text(summary))
-    print(f"summary: {os.path.join(args.out, summary_name)}")
+    path = _write_report(args, "summary", dims=dict(instance.dims), params=instance.params,
+                         tol=rule.tol, max_iter=rule.max_iter, theta=rule.theta, init=args.init,
+                         runs=summary_runs)
+    print(f"summary: {path}")
     if args.strict and not all_converged:
         return 3
     return 0
@@ -310,7 +310,8 @@ def _cmd_grid(args):
     iterations = []
     for gamma, plan in zip(gammas, plans):
         try:
-            iterations.append(solve(instance.spec, plan, init=None, rule=rule).iterations_to_tol)
+            record = solve(instance.spec, plan, init=None, rule=rule, columns=False)
+            iterations.append(record.iterations_to_tol)
         except (ArithmeticError, ValueError) as err:
             print(f"{_PROG}: grid point gamma={gamma!r} failed: {err}", file=sys.stderr)
             iterations.append(None)
@@ -324,25 +325,11 @@ def _cmd_grid(args):
         lines.append(f"{gamma!r},{'' if iters is None else iters},{str(iters is not None).lower()}")
     _atomic_write(os.path.join(args.out, f"{tag}_grid.csv"), "\n".join(lines) + "\n")
 
-    payload = {
-        "schema": 1,
-        "command": "grid",
-        "kind": args.kind,
-        "profile": args.profile,
-        "seed": args.seed,
-        "dims": dict(instance.dims),
-        "tol": rule.tol,
-        "max_iter": rule.max_iter,
-        "theta": rule.theta,
-        "points": points,
-        "gamma_min": gamma_min,
-        "gamma_max": gamma_max,
-        "best_gamma": gammas[best],
-        "best_iterations": iterations[best],
-        "boundary_hit": boundary_hit,
-        "converged_points": sum(iters is not None for iters in iterations),
-    }
-    _atomic_write(os.path.join(args.out, f"{tag}_grid.json"), _json_text(payload))
+    _write_report(args, "grid", dims=dict(instance.dims), tol=rule.tol, max_iter=rule.max_iter,
+                  theta=rule.theta, points=points, gamma_min=gamma_min, gamma_max=gamma_max,
+                  best_gamma=gammas[best], best_iterations=iterations[best],
+                  boundary_hit=boundary_hit,
+                  converged_points=sum(iters is not None for iters in iterations))
     best_text = "none" if iterations[best] is None else str(iterations[best])
     print(f"{tag} grid: best_gamma={gammas[best]:.6g} iterations={best_text} "
           f"boundary_hit={boundary_hit} csv={tag}_grid.csv")
@@ -352,32 +339,17 @@ def _cmd_grid(args):
 
 
 def _cmd_contradiction(args):
-    tag = _resolve_common(args)
+    _resolve_common(args)
     instance = problems.generate(args.kind, profile=args.profile, seed=args.seed)
     oracle = problems.compute_oracle(instance)
     report = contradiction_demo(instance.spec, None, ax_star=oracle.ax, lambda_star=oracle.lam)
     print(report.as_text())
 
     os.makedirs(args.out, exist_ok=True)
-    payload = {
-        "schema": 1,
-        "command": "contradiction",
-        "kind": args.kind,
-        "profile": args.profile,
-        "seed": args.seed,
-        "gamma_dagger_primal": report.gamma_dagger_primal,
-        "gamma_dagger_dual": report.gamma_dagger_dual,
-        "daggers_agree": report.daggers_agree,
-        "contradiction": report.contradiction,
-        "alpha_star": report.alpha_star,
-        "gamma_star": report.gamma_star,
-        "ax_norm": report.ax_norm,
-        "lam_norm": report.lam_norm,
-        "inner": report.inner,
-    }
-    path = os.path.join(args.out, f"{tag}_contradiction.json")
-    _atomic_write(path, _json_text(payload))
-    print(f"report: {path}")
+    # the report's JSON never carried the start's norm
+    fields = dataclasses.asdict(report)
+    del fields["zeta0_norm"]
+    print(f"report: {_write_report(args, 'contradiction', **fields)}")
     return 0
 
 

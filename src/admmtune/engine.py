@@ -111,16 +111,6 @@ class ProblemSpec:
                 _check_full_rank(svd(M, compute_uv=False), M.shape[1],
                                  f"constraint matrix {name} does not have full column rank")
 
-    def apply_A(self, x):
-        return x if self.A is None else self.A @ x
-
-    def apply_B(self, z):
-        return -z if self.B is None else self.B @ z
-
-    def constraint_gap(self, x, z):
-        """A x + B z - c."""
-        return self.apply_A(x) + self.apply_B(z) - self.c
-
     def eval_objective(self, x, z):
         return float(self.objective(x, z)) if self.objective is not None else float("nan")
 
@@ -413,8 +403,7 @@ def contradiction_demo(spec: ProblemSpec, zeta0=None, *, ax_star,
     # a zero ax_star or lambda_star raises DegenerateProblemError here
     coeffs = _tuner.build_coefficients(ax, lam, None if zeta0 is None else z0)
 
-    ax_nrm2 = float(ax @ ax)
-    lam_nrm2 = float(lam @ lam)
+    ax_nrm2, lam_nrm2 = coeffs.a, -coeffs.e
     den1 = float((ax - z0) @ lam)
     g1 = None if den1 == 0.0 else -lam_nrm2 / den1
     g2 = float((z0 - lam) @ ax) / ax_nrm2

@@ -356,7 +356,7 @@ def _spec_tv(dims, data, params):
     alpha = float(params["alpha"])
     F = _difference_matrix(n)
     # a dense n x n eigenbasis of F^T F costs memory of the same order as F
-    x_solve = _shifted_solver(F.T @ F)
+    x_solve = _shifted_solver(F.T @ F, gram=True)
 
     # the constraint map is F, not I, so this x-step is no prox of f alone
     def prox_f(w, g):

@@ -149,16 +149,21 @@ def moreau_complement(handle: ProxHandle) -> ProxHandle:
     return ProxHandle(evaluate=evaluate, convention=NEW, dim=handle.dim)
 
 
-def _shifted_solver(G):
+def _shifted_solver(G, gram=False):
     """Return ``solve(a, b, r) = (a*I + b*G)^-1 r`` for a symmetric ``G``.
 
     ``G`` is eigendecomposed once, ``G = U diag(s) U^T``, so a solve at any
     ``(a, b)`` costs two matrix-vector products and builds no factorization.
-    The eigenpairs are read-only, so ``solve`` may be shared across threads.
-    ``solve`` raises ValueError when an eigenvalue of ``a*I + b*G`` is not
-    above the smallest normal float.
+    With ``gram``, ``G`` is a Gram matrix ``M^T M``: its spectrum is clamped
+    at 0, since ``eigh`` may return a zero eigenvalue as a tiny negative one
+    that a large ``b`` would turn into an indefinite shift.  The eigenpairs
+    are read-only, so ``solve`` may be shared across threads.  ``solve``
+    raises ValueError when an eigenvalue of ``a*I + b*G`` is not above the
+    smallest normal float.
     """
     s, U = eigh(G)
+    if gram:
+        s = np.maximum(s, 0.0)
     s.setflags(write=False)
     U.setflags(write=False)
 
@@ -340,7 +345,7 @@ def _entry_lstsq(A, b):
     m, n = A.shape
     atb = A.T @ b
     if m >= n:
-        solve = _shifted_solver(A.T @ A)
+        solve = _shifted_solver(A.T @ A, gram=True)
 
         def evaluate(v, gamma):
             return solve(1.0, gamma, v + gamma * atb)

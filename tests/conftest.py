@@ -44,6 +44,16 @@ class ReferenceState:
     residue_history: list = field(default_factory=list)
 
 
+# the constraint maps, written out apart from the solver's own sweep: None
+# is the identity for A and minus the identity for B
+def apply_A(spec, x):
+    return x if spec.A is None else spec.A @ x
+
+
+def apply_B(spec, z):
+    return -z if spec.B is None else spec.B @ z
+
+
 def reference_step(state, spec):
     """Advance the textbook x, z, multiplier recursion by one sweep, in place.
 
@@ -57,12 +67,12 @@ def reference_step(state, spec):
     if not g > 0.0:
         raise ValueError(f"state.gamma must be positive, got {g}")
     lam = state.lam
-    x = spec.prox_f(spec.c - spec.apply_B(state.z) - lam / g, g)
-    ax = spec.apply_A(x)
+    x = spec.prox_f(spec.c - apply_B(spec, state.z) - lam / g, g)
+    ax = apply_A(spec, x)
     rg = math.sqrt(g)
     zeta = rg * ax + lam / rg
     z = spec.prox_g(spec.c - ax - lam / g, g)
-    lam_new = lam + g * (ax + spec.apply_B(z) - spec.c)
+    lam_new = lam + g * (ax + apply_B(spec, z) - spec.c)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z)) and np.all(np.isfinite(lam_new))):
         raise ArithmeticError(f"non-finite iterate at sweep {state.k + 1}")
     if state.zeta_unscaled is not None and state.zeta_gamma == g:

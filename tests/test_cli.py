@@ -137,6 +137,15 @@ def test_config_default_section_is_the_lowest_layer(tmp_path):
         }[name], name
 
 
+def test_config_values_are_literal(tmp_path):
+    # '%' interpolates nothing: the directory is named as written
+    config = tmp_path / "bench.ini"
+    config.write_text(f"[common]\nkind = qp\nout = {tmp_path}/%(nope)s\n"
+                      "[run]\nplans = fixed\nmax-iter = 3\n")
+    assert run_cli(["run", "--config", str(config)]) == 0
+    assert (tmp_path / "%(nope)s" / "qp_desk_seed0_summary.json").is_file()
+
+
 # a value for every option, none of them its default
 _SAMPLES = {"kind": "lasso", "profile": "paper", "seed": "7", "out": "elsewhere",
             "plans": "pair:2", "tol": "1e-05", "max_iter": "77", "theta": "0.25",
@@ -283,7 +292,7 @@ def test_grid_outputs(tmp_path):
 
 
 def test_grid_records_a_failing_point_and_goes_on(tmp_path, capsys):
-    # tv's x-step rejects gamma = 1e150 and 1e300 with ValueError
+    # tv's iterates overflow at gamma = 1e150 and 1e300
     out = tmp_path / "tv"
     args = ["grid", "--kind", "tv", "--gamma-min", "1", "--gamma-max", "1e300",
             "--points", "3", "--max-iter", "20", "--out", str(out)]

@@ -1,14 +1,19 @@
-"""The package, the whole zoo and every catalog entry run on numpy alone.
+"""The package's public names, and its import path: the package, the whole
+zoo and every catalog entry run on numpy alone.
 
-The program runs in a fresh interpreter with ``sys.modules["scipy"] = None``,
-so any import of scipy or of one of its submodules raises there.  A fresh
-interpreter is needed because the test session itself may have loaded scipy.
+The import-path program runs in a fresh interpreter with
+``sys.modules["scipy"] = None``, so any import of scipy or of one of its
+submodules raises there.  A fresh interpreter is needed because the test
+session itself may have loaded scipy.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import admmtune
+from admmtune import engine, problems, prox, quartic, tuner
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -57,3 +62,13 @@ def test_package_runs_the_zoo_without_importing_scipy():
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_package_reexports_each_module_list():
+    modules = (quartic, prox, engine, tuner, problems)
+    names = [name for module in modules for name in module.__all__]
+    assert admmtune.__all__ == names + ["__version__"]
+    assert len(set(admmtune.__all__)) == len(admmtune.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(admmtune, name) is getattr(module, name), name

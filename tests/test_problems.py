@@ -14,7 +14,7 @@ from admmtune import (
     generate,
 )
 
-from conftest import ACCEPT_SEEDS
+from conftest import ACCEPT_SEEDS, apply_A, apply_B
 from test_trajectory import SNAPSHOT
 
 
@@ -121,7 +121,8 @@ def test_every_desk_instance_solves_to_high_accuracy(desk):
     for kind in KINDS:
         rec = at.solve(desk(kind).spec, StepSizePlan.fixed(1.0), rule=rule)
         assert rec.converged, kind
-        gap = desk(kind).spec.constraint_gap(rec.x, rec.z)
+        spec = desk(kind).spec
+        gap = apply_A(spec, rec.x) + apply_B(spec, rec.z) - spec.c
         assert np.linalg.norm(gap) <= 1e-5, kind
 
 
@@ -169,6 +170,21 @@ def test_quadratic_x_step_matches_dense_solve(desk, kind, dims):
         want = np.linalg.solve(*_x_step_system(inst, w, gamma))[:inst.spec.n]
         got = inst.spec.prox_f(w, gamma)
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want), gamma
+
+
+def test_tv_x_step_at_huge_gamma(desk):
+    # eigh returns the zero eigenvalue of F^T F as a tiny negative number;
+    # unclamped, the shift 1 + gamma * s[0] is indefinite from gamma ~ 1e15
+    inst = desk("tv")
+    F, b = inst.spec.A, inst.data["b"]
+    w = np.random.default_rng(19).normal(size=inst.spec.p)
+    gamma = 1e15
+    x = inst.spec.prox_f(w, gamma)
+    # stationarity of 0.5 ||x - b||^2 + (gamma / 2) ||F x - w||^2
+    grad = (x - b) + gamma * (F.T @ (F @ x - w))
+    assert np.linalg.norm(grad) <= 1e-12 * (np.linalg.norm(b) + gamma * np.linalg.norm(F.T @ w))
+    # at 1e300 the mean of x is lost to rounding: only finiteness is checked
+    assert np.all(np.isfinite(inst.spec.prox_f(w, 1e300)))
 
 
 def _closed_form_z_step(inst, w, gamma):
