@@ -206,8 +206,8 @@ def _realize_plan(token, name, value, instance, init_vec, args):
             return plan, init_vec, f"estimated-{value:g}"
         oracle = problems.compute_oracle(instance)
         if name == "oracle":
-            plan = tuner.StepSizePlan.oracle(oracle.ax, oracle.lam, init_vec)
-            return plan, init_vec, "oracle"
+            gamma = tuner.gamma_general(oracle.ax, oracle.lam, init_vec)
+            return tuner.StepSizePlan.fixed(gamma), init_vec, "oracle"
         if name == "pair":
             pair = tuner.optimal_pair(oracle.ax, oracle.lam, value)
         else:

@@ -236,15 +236,15 @@ def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
     ----------
     spec : ProblemSpec
     plan : StepSizePlan
-        Fixed gamma, successive estimation, or the closed-form optimal gamma
-        from a known solution pair.
+        Fixed gamma or successive estimation.  The closed-form optimal gamma
+        is the fixed plan ``StepSizePlan.fixed(gamma_general(ax, lam, zeta0))``
+        run with ``init=zeta0``.
     init : None or ndarray
         The unscaled fixed-point vector
         ``zeta^0 = sqrt(gamma) A x + lam / sqrt(gamma)`` to start from, of
-        length ``spec.p``.  None starts from the zero vector, or from the
-        oracle plan's own ``zeta0`` when it has one.  A start with a
-        non-finite entry raises ValueError before any sweep, and so does an
-        oracle plan whose ``ax_star`` does not have length ``spec.p``.
+        length ``spec.p``.  None starts from the zero vector.  A start of
+        another length or with a non-finite entry raises ValueError before
+        any sweep.
     rule : TerminationRule
         Defaults to tol 1e-6, max_iter 10000, theta 0.5.  tol = inf returns
         immediately after 0 sweeps with an empty history.
@@ -265,16 +265,7 @@ def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
     if rule is None:
         rule = TerminationRule()
     t0 = time.perf_counter()
-    if plan.mode == _tuner.ORACLE:
-        # gamma_general ties lambda_star and zeta0 to the size of ax_star
-        if np.size(plan.ax_star) != spec.p:
-            raise ValueError(f"an oracle plan's ax_star must have length {spec.p}, got {np.size(plan.ax_star)}")
-        gamma = float(_tuner.gamma_general(plan.ax_star, plan.lambda_star, plan.zeta0))
-        if init is None:
-            init = plan.zeta0
-    else:
-        gamma = float(plan.gamma0)
-    _tuner._check_gamma("initial gamma", gamma)
+    gamma = float(plan.gamma0)
     rg = math.sqrt(gamma)
 
     # the newest iterates; ax caches A @ x

@@ -1,8 +1,9 @@
-"""Step-size plans: fixed, successively estimated, and closed-form optimal.
+"""Step-size plans, fixed and successively estimated, and the closed-form step.
 
-The closed-form route squares a positive root of the quartic from
-:mod:`admmtune.quartic`; the successive route re-reads that formula off the
-current iterates for the zero start, where it collapses to the ratio
+The closed-form step ``gamma_general`` squares a positive root of the quartic
+from :mod:`admmtune.quartic`; a run at it is a fixed plan started from the
+vector the quartic was built for.  The successive route re-reads that formula
+off the current iterates for the zero start, where it collapses to the ratio
 ``||lam|| / ||A x||``.  ``optimal_pair`` inverts the question and returns a
 start vector and step size from which the solver's fixed-point iteration
 lands on its fixed point in a single sweep.
@@ -26,7 +27,6 @@ from .quartic import (
 __all__ = [
     "FIXED",
     "ESTIMATED",
-    "ORACLE",
     "StepSizePlan",
     "OptimalPair",
     "gamma_zero_init",
@@ -38,7 +38,6 @@ __all__ = [
 
 FIXED = "fixed"
 ESTIMATED = "estimated"
-ORACLE = "oracle"
 
 # iterate norms below this are treated as still-degenerate; keep the old gamma
 _DEGENERATE_NORM = 1e-12
@@ -60,8 +59,7 @@ class StepSizePlan:
     mode : str
         FIXED runs at ``gamma0`` throughout.  ESTIMATED starts at ``gamma0``
         and re-estimates from the iterates before every sweep after the
-        first.  ORACLE computes the optimal value once from a known solution
-        pair before the run starts.
+        first.
     gamma0 : float
         Starting penalty (default 1), positive and finite, with a finite
         reciprocal.
@@ -72,21 +70,15 @@ class StepSizePlan:
     freeze_after : int or None
         ESTIMATED only: stop updating once this many sweeps are done; a
         nonnegative integer (not a bool).
-    ax_star, lambda_star, zeta0 : ndarray or None
-        ORACLE only: the solution pair, and the start vector the optimum is
-        computed for (None means the zero start).
     """
 
     mode: str
     gamma0: float = 1.0
     update_threshold: float = 0.0
     freeze_after: int = None
-    ax_star: np.ndarray = None
-    lambda_star: np.ndarray = None
-    zeta0: np.ndarray = None
 
     def __post_init__(self):
-        if self.mode not in (FIXED, ESTIMATED, ORACLE):
+        if self.mode not in (FIXED, ESTIMATED):
             raise ValueError(f"unknown plan mode {self.mode!r}")
         _check_gamma("gamma0", self.gamma0)
         if not (math.isfinite(self.update_threshold) and self.update_threshold >= 0.0):
@@ -95,8 +87,6 @@ class StepSizePlan:
         f = self.freeze_after
         if f is not None and (isinstance(f, bool) or not isinstance(f, (int, np.integer)) or f < 0):
             raise ValueError(f"freeze_after must be a nonnegative integer, got {f!r}")
-        if self.mode == ORACLE and (self.ax_star is None or self.lambda_star is None):
-            raise ValueError("an oracle plan needs ax_star and lambda_star")
 
     @classmethod
     def fixed(cls, gamma: float) -> "StepSizePlan":
@@ -108,23 +98,11 @@ class StepSizePlan:
         return cls(mode=ESTIMATED, gamma0=float(gamma0),
                    update_threshold=float(update_threshold), freeze_after=freeze_after)
 
-    @classmethod
-    def oracle(cls, ax_star, lambda_star, zeta0=None) -> "StepSizePlan":
-        return cls(
-            mode=ORACLE,
-            ax_star=np.asarray(ax_star, dtype=float).ravel(),
-            lambda_star=np.asarray(lambda_star, dtype=float).ravel(),
-            zeta0=None if zeta0 is None else np.asarray(zeta0, dtype=float).ravel(),
-        )
-
     def describe(self) -> str:
         if self.mode == FIXED:
             return f"fixed(gamma={self.gamma0:.6g})"
-        if self.mode == ESTIMATED:
-            frozen = "" if self.freeze_after is None else f", freeze_after={self.freeze_after}"
-            return f"estimated(gamma0={self.gamma0:.6g}, threshold={self.update_threshold:.3g}{frozen})"
-        start = "zero" if self.zeta0 is None else "given"
-        return f"oracle(zeta0={start})"
+        frozen = "" if self.freeze_after is None else f", freeze_after={self.freeze_after}"
+        return f"estimated(gamma0={self.gamma0:.6g}, threshold={self.update_threshold:.3g}{frozen})"
 
 
 @dataclass(frozen=True)

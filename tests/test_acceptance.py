@@ -1,10 +1,13 @@
 """Acceptance gate: nine numbered criteria plus trend reproduction.
 
-Each test exercises one end-to-end guarantee on the pinned desk instances
-and reports a single PASS/FAIL line through ``record_criterion``; the lines
-are echoed together at the end of the pytest run.
+Each criterion test exercises one end-to-end guarantee on the pinned desk
+instances and reports a single PASS/FAIL line through ``record_criterion``;
+the lines are echoed together at the end of the pytest run.  One more test,
+which reports no line, checks that criterion 6's pruned grid search finds
+the brute-force minimum.
 """
 
+import math
 import time
 
 import numpy as np
@@ -169,6 +172,37 @@ def test_residue_monotonicity_rate_and_sandwich(desk, oracle, record_criterion):
     assert passed
 
 
+def _pruned_grid_minimum(count, gammas, g_star, max_iter):
+    """Fewest sweeps over the grid ``gammas`` and the step sizes that reach it.
+
+    ``count(gamma, cap)`` returns the sweeps to tolerance of a run capped at
+    ``cap`` sweeps, or None.  Points are visited nearest ``g_star`` first on
+    a log scale, each capped at the best count so far: a run capped at K
+    sweeps is the first K sweeps of the uncapped run, so a point the cap
+    stops needs more than K and neither beats nor ties the minimum.
+    """
+    best, argmin = None, []
+    for g in sorted(gammas, key=lambda g: abs(math.log(g / g_star))):
+        it = count(g, max_iter if best is None else min(max_iter, best))
+        if it is None:
+            continue
+        if best is None or it < best:
+            best, argmin = it, [g]
+        elif it == best:
+            argmin.append(g)
+    return best, sorted(argmin)
+
+
+def _grid_counter(spec, rule):
+    # only the counts are read: the objective and infeasibility columns are
+    # skipped, which keeps every residue bit
+    def count(gamma, cap):
+        capped = at.TerminationRule(rule.tol, max_iter=cap, theta=rule.theta)
+        return at.solve(spec, at.StepSizePlan.fixed(gamma), init=None,
+                        rule=capped, columns=False).iterations_to_tol
+    return count
+
+
 def test_zero_start_step_tracks_grid_minimum(desk, oracle, record_criterion):
     rule = at.TerminationRule(tol=1e-4, max_iter=10_000)
     worst = 0.0
@@ -177,16 +211,9 @@ def test_zero_start_step_tracks_grid_minimum(desk, oracle, record_criterion):
     for kind in GRID_KINDS:
         inst, o = desk(kind), oracle(kind)
         g_star = at.gamma_zero_init(o.ax, o.lam)
-        # only the counts are read: the objective and infeasibility columns
-        # are skipped, which keeps every residue bit
-        iters_star = at.solve(inst.spec, at.StepSizePlan.fixed(g_star),
-                              init=None, rule=rule, columns=False).iterations_to_tol
-        best = None
-        for g in np.geomspace(1e-3, 1e3, 50):
-            it = at.solve(inst.spec, at.StepSizePlan.fixed(float(g)),
-                          init=None, rule=rule, columns=False).iterations_to_tol
-            if it is not None and (best is None or it < best):
-                best = it
+        count = _grid_counter(inst.spec, rule)
+        iters_star = count(g_star, rule.max_iter)
+        best, _ = _pruned_grid_minimum(count, np.geomspace(1e-3, 1e3, 50), g_star, rule.max_iter)
         if iters_star is None or best is None:
             passed = False
             parts.append(f"{kind} stalled")
@@ -199,6 +226,39 @@ def test_zero_start_step_tracks_grid_minimum(desk, oracle, record_criterion):
         "criterion 6 (zero-start step within 2x of 50-point grid minimum)",
         passed, ", ".join(parts))
     assert passed
+
+
+def _brute_grid_minimum(count, gammas, max_iter):
+    counts = {g: count(g, max_iter) for g in gammas}
+    best = min((it for it in counts.values() if it is not None), default=None)
+    return best, sorted(g for g, it in counts.items() if it is not None and it == best)
+
+
+def test_pruned_grid_minimum_is_exact(desk, oracle):
+    # the pruning criterion 6 relies on finds the brute-force minimum and
+    # every step size that reaches it (so a cap one short, which loses the
+    # ties, fails too), on the grid kinds ...
+    rule = at.TerminationRule(tol=1e-4, max_iter=10_000)
+    gammas = np.geomspace(1e-3, 1e3, 50)[10:40:3]
+    for kind in GRID_KINDS:
+        o = oracle(kind)
+        count = _grid_counter(desk(kind).spec, rule)
+        g_star = at.gamma_zero_init(o.ax, o.lam)
+        assert (_pruned_grid_minimum(count, gammas, g_star, rule.max_iter)
+                == _brute_grid_minimum(count, gammas, rule.max_iter)), kind
+    # ... and on count tables with ties, stalls and minima far from g_star
+    rng = np.random.default_rng(0)
+    gammas = np.geomspace(1e-3, 1e3, 12)
+    for _ in range(200):
+        table = dict(zip(gammas, rng.integers(1, 8, size=gammas.size)))
+        for g in rng.choice(gammas, size=3):
+            table[g] = None
+
+        def count(g, cap):
+            return table[g] if table[g] is not None and table[g] <= cap else None
+
+        g_star = float(rng.choice(gammas))
+        assert _pruned_grid_minimum(count, gammas, g_star, 6) == _brute_grid_minimum(count, gammas, 6)
 
 
 def test_estimated_step_tracks_oracle(desk, oracle, record_criterion):
@@ -266,11 +326,11 @@ def test_structured_start_trend_reproduction(desk, oracle, record_criterion):
     counts = {}
     for kind in ("qp", "lp"):
         inst, o = desk(kind), oracle(kind)
-        base = at.solve(inst.spec, at.StepSizePlan.oracle(o.ax, o.lam),
+        base = at.solve(inst.spec, at.StepSizePlan.fixed(at.gamma_general(o.ax, o.lam)),
                         init=None, rule=rule)
         guess = inst.structure_start()
-        warm = at.solve(inst.spec, at.StepSizePlan.oracle(o.ax, o.lam, zeta0=guess),
-                        init=None, rule=rule)
+        warm = at.solve(inst.spec, at.StepSizePlan.fixed(at.gamma_general(o.ax, o.lam, guess)),
+                        init=guess, rule=rule)
         counts[kind] = (base.iterations_to_tol, warm.iterations_to_tol)
     qp_worse = counts["qp"][1] > counts["qp"][0]
     lp_better = counts["lp"][1] < counts["lp"][0]

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from admmtune import KINDS, cli, compute_oracle, generate, problems, prox
+from admmtune import KINDS, cli, compute_oracle, generate, problems, prox, tuner
 
 
 def run_cli(argv):
@@ -256,6 +256,16 @@ def test_bad_plan_token_writes_no_csv(tmp_path, capsys, token):
     assert run_cli(["run", "--kind", "qp", "--plan", "fixed", "--plan", token,
                     "--out", str(out)]) == 2
     assert token in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_rejected_oracle_step_writes_no_csv(tmp_path, capsys, monkeypatch):
+    # the oracle token's step size is checked with every other plan, before
+    # the fixed plan's CSV is written
+    monkeypatch.setattr(tuner, "gamma_general", lambda *args: 0.0)
+    assert run_cli(["run", "--kind", "qp", "--plan", "fixed", "--plan", "oracle",
+                    "--out", str(tmp_path / "partial")]) == 2
+    assert "plan 'oracle': gamma0 must be positive" in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.csv"))
 
 

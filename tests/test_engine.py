@@ -306,23 +306,16 @@ def test_contradiction_needs_the_solution_pair_at_the_constraint_length():
         contradiction_demo(spec, np.ones(5), ax_star=np.ones(6), lambda_star=np.ones(6))
 
 
-def test_solve_checks_the_oracle_step_size_as_a_fixed_one():
-    spec = small_spec()
+def test_closed_form_step_that_rounds_to_zero_is_rejected_by_the_plan():
     e1 = np.eye(6)[0]
     # a = 1e300, b = -1, d = e = 1e-300: the quartic's root squares to 0.0
-    plan = StepSizePlan.oracle(1e150 * e1, 1e-150 * e1, 1e-150 * e1)
-    assert at.gamma_general(plan.ax_star, plan.lambda_star, plan.zeta0) == 0.0
-    with pytest.raises(ValueError, match="initial gamma must be positive and finite"):
-        solve(spec, plan)
+    gamma = at.gamma_general(1e150 * e1, 1e-150 * e1, 1e-150 * e1)
+    assert gamma == 0.0
+    with pytest.raises(ValueError, match="gamma0 must be positive and finite"):
+        StepSizePlan.fixed(gamma)
 
 
-def test_oracle_plan_must_fit_the_spec(desk):
+def test_start_vector_must_fit_the_spec(desk):
     spec = desk("qp").spec
-    # a pair of another length would give a step size for another problem
-    with pytest.raises(ValueError, match="ax_star must have length 30, got 3"):
-        solve(spec, StepSizePlan.oracle(np.ones(3), 2 * np.ones(3)))
-    # lambda_star and zeta0 are tied to ax_star's length
-    with pytest.raises(ValueError, match="matching sizes"):
-        solve(spec, StepSizePlan.oracle(np.ones(30), np.ones(3)))
-    with pytest.raises(ValueError, match="zeta0 must have size 30"):
-        solve(spec, StepSizePlan.oracle(np.ones(30), np.ones(30), np.ones(3)))
+    with pytest.raises(ValueError, match="zeta0 must have length 30, got 3"):
+        solve(spec, StepSizePlan.fixed(1.0), init=np.ones(3))

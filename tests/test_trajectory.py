@@ -8,7 +8,7 @@ the arithmetic of the solver must keep every entry.
 
 import pytest
 
-from admmtune import StepSizePlan, TerminationRule, optimal_pair, solve
+from admmtune import StepSizePlan, TerminationRule, gamma_general, optimal_pair, solve
 
 SNAPSHOT = {
     "lp": {"fixed": [1871, True], "estimated": [1816, True], "oracle": [1704, True], "pair": [1, True]},
@@ -32,7 +32,7 @@ def test_iterations_to_tol_snapshot(desk, oracle, kind):
     runs = {
         "fixed": (StepSizePlan.fixed(1.0), None),
         "estimated": (StepSizePlan.estimated(), None),
-        "oracle": (StepSizePlan.oracle(sol.ax, sol.lam), None),
+        "oracle": (StepSizePlan.fixed(gamma_general(sol.ax, sol.lam)), None),
         "pair": (StepSizePlan.fixed(pair.gamma), pair.zeta0),
     }
     got = {}

@@ -39,6 +39,8 @@ def test_zero_start_rejects_degenerate_vectors():
     # a pair of two sizes is no solution pair, as on the quartic route
     with pytest.raises(ValueError, match="matching sizes"):
         gamma_zero_init([3.0, 4.0], [5.0])
+    with pytest.raises(ValueError, match="zeta0 must have size 30"):
+        gamma_general(np.ones(30), np.ones(30), np.ones(3))
     # squared norms that overflow, which the quartic route rejects too
     with pytest.raises(ValueError, match="must be finite"):
         gamma_zero_init([1e200] * 2, [1e200] * 2)
@@ -123,10 +125,9 @@ def test_plan_validation_and_description():
     with pytest.raises(ValueError):
         StepSizePlan.estimated(gamma0=-1.0)
     with pytest.raises(ValueError):
-        StepSizePlan(mode=at.ORACLE)
+        StepSizePlan(mode="oracle")
     assert "fixed" in StepSizePlan.fixed(2.0).describe()
     assert "freeze_after=5" in StepSizePlan.estimated(freeze_after=5).describe()
-    assert "zero" in StepSizePlan.oracle(np.ones(2), np.ones(2)).describe()
 
 
 def test_estimate_step_guards():
@@ -221,7 +222,7 @@ def test_plan_rejects_non_finite_and_non_integer_settings():
     assert StepSizePlan.estimated(freeze_after=np.int64(3)).freeze_after == 3
 
 
-def test_non_finite_solution_vectors_are_named(desk):
+def test_non_finite_solution_vectors_are_named():
     with pytest.raises(ValueError, match="ax_star must be finite"):
         gamma_zero_init([np.inf, 1.0], [1.0, 1.0])
     with pytest.raises(ValueError, match="lambda_star must be finite"):
@@ -230,10 +231,6 @@ def test_non_finite_solution_vectors_are_named(desk):
         build_coefficients([np.nan, 1.0], [1.0, 1.0])
     with pytest.raises(ValueError, match="lambda_star must be finite"):
         gamma_general([1.0, 1.0], [1.0, np.inf], np.ones(2))
-    spec = desk("qp").spec
-    bad = StepSizePlan.oracle(np.full(spec.p, np.nan), np.ones(spec.p))
-    with pytest.raises(ValueError, match="ax_star must be finite"):
-        at.solve(spec, bad)
     u, v = np.array([3.0, 4.0]), np.array([6.0, 8.0])
     assert gamma_zero_init(u, v) == 2.0
 
