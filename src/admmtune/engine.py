@@ -111,9 +111,6 @@ class ProblemSpec:
                 _check_full_rank(svd(M, compute_uv=False), M.shape[1],
                                  f"constraint matrix {name} does not have full column rank")
 
-    def eval_objective(self, x, z):
-        return float(self.objective(x, z)) if self.objective is not None else float("nan")
-
 
 @dataclass
 class SolverState:
@@ -194,6 +191,8 @@ def _drs_sweep(spec, theta):
     """
     prox_f, prox_g, A, B, c = spec.prox_f, spec.prox_g, spec.A, spec.B, spec.c
     two_theta = 2.0 * theta
+    # at theta = 0.5 the weight is 1.0, and 1.0 * gap is gap in IEEE arithmetic
+    unit = two_theta == 1.0
 
     def sweep(sigma, gamma):
         z = prox_g(c - sigma, gamma)
@@ -202,7 +201,7 @@ def _drs_sweep(spec, theta):
         x = prox_f(2.0 * y_half - sigma, gamma)
         y_one = x if A is None else A @ x
         gap = y_one - y_half
-        return sigma + two_theta * gap, x, z, y_half, y_one, gap
+        return sigma + (gap if unit else two_theta * gap), x, z, y_half, y_one, gap
 
     return sweep
 
@@ -284,7 +283,7 @@ def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
     # the estimator reads one state per run, refreshed in place each sweep
     state = SolverState(ax=None, lam=None, gamma=gamma) if plan.mode == _tuner.ESTIMATED else None
     sweep = _drs_sweep(spec, rule.theta)
-    objective = spec.eval_objective if columns else None
+    objective, tol = spec.objective, rule.tol
     sigma_new = sigma
     for k in range(1, max_iter + 1):
         if state is not None and k >= 2:
@@ -300,7 +299,8 @@ def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
         # non-finite: the full scan is needed only then (an overflowing norm
         # of finite entries is recorded as an infinite residue)
         step = sigma_new - sigma
-        step_norm = math.sqrt(step @ step)
+        # ndarray.dot is the ddot of ``@`` without the ufunc dispatch
+        step_norm = math.sqrt(step.dot(step))
         if not math.isfinite(step_norm) and not np.all(np.isfinite(sigma_new)):
             raise ArithmeticError(f"non-finite iterate at sweep {k}")
         residue = rg * step_norm
@@ -308,14 +308,16 @@ def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
             # the estimator reads lam before the next sweep; other plans
             # form it once, after the loop
             lam = gamma * (sigma - y_half)
-        if objective is None:
+        if not columns:
             rows.append((k, gamma, residue, math.nan, math.nan))
         else:
-            rows.append((k, gamma, residue, objective(x, z), math.sqrt(gap @ gap)))
+            rows.append((k, gamma, residue,
+                         math.nan if objective is None else float(objective(x, z)),
+                         math.sqrt(gap.dot(gap))))
         if trace:
             traced["sigma"].append(sigma_new.copy())
             traced["y_one"].append(ax.copy())
-        if residue <= rule.tol:
+        if residue <= tol:
             iterations_to_tol = k
             break
     if rows and state is None:

@@ -56,7 +56,7 @@ NEW = "new"
 _RANK_TOL = 1e-10
 # smallest accepted eigenvalue of a shifted system: a subnormal pivot
 # overflows the division it feeds
-_TINY = np.finfo(float).tiny
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -166,11 +166,13 @@ def _shifted_solver(G, gram=False):
         s = np.maximum(s, 0.0)
     s.setflags(write=False)
     U.setflags(write=False)
+    # s is sorted ascending, so a + b*s is smallest at one of its ends, read
+    # once as floats; an empty s (a point constraint leaves a 0x0 reduced
+    # Hessian) passes
+    lo, hi = (float(s[0]), float(s[-1])) if s.size else (None, None)
 
     def solve(a, b, r):
-        # s is sorted ascending, so a + b*s is smallest at one of its ends;
-        # an empty s (a point constraint leaves a 0x0 reduced Hessian) passes
-        if s.size and not (a + b * s[0] > _TINY and a + b * s[-1] > _TINY):
+        if lo is not None and not (a + b * lo > _TINY and a + b * hi > _TINY):
             raise ValueError(
                 f"a*I + b*G is not positive definite above the smallest normal float at a={a}, b={b}")
         return U @ ((U.T @ r) / (a + b * s))
@@ -196,10 +198,12 @@ def _wide_gram_solver(A, d):
     ud = U.T @ d
     for v in (s, W, ud):
         v.setflags(write=False)
+    # s is sorted ascending, so a + b*s is smallest at one of its ends, read
+    # once as floats
+    lo, hi = (float(s[0]), float(s[-1])) if s.size else (None, None)
 
     def solve(a, b, r):
-        # s is sorted ascending, so a + b*s is smallest at one of its ends
-        if not (a > _TINY and (not s.size or (a + b * s[0] > _TINY and a + b * s[-1] > _TINY))):
+        if not (a > _TINY and (lo is None or (a + b * lo > _TINY and a + b * hi > _TINY))):
             raise ValueError(
                 f"a*I + b*A^T A is not positive definite above the smallest normal float at a={a}, b={b}")
         t = (W @ r) / (a + b * s)

@@ -99,14 +99,12 @@ def _require_finite(name, v):
         raise ValueError(f"{name} must be finite")
 
 
-# as a decorator, errstate costs a fraction of the with-statement form
-@np.errstate(over="ignore")
-def _finite_dot(u, v, what):
-    """``u @ v`` as a float; ValueError naming ``what`` when it overflows or is not finite."""
-    dot = float(u @ v)
-    if not math.isfinite(dot):
-        raise ValueError(f"{what} must be finite, got {dot!r}")
-    return dot
+def _finite_coefficient(name, value):
+    """``value`` as a float; ValueError naming coefficient ``name`` unless it is finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"coefficient {name} must be finite, got {value!r}")
+    return value
 
 
 def build_coefficients(ax_star, lambda_star, zeta0=None) -> QuarticCoefficients:
@@ -145,11 +143,13 @@ def build_coefficients(ax_star, lambda_star, zeta0=None) -> QuarticCoefficients:
         )
     _require_finite("ax_star", ax)
     _require_finite("lambda_star", lam)
-    ax_nrm2 = _finite_dot(ax, ax, "coefficient a")
-    lam_nrm2 = _finite_dot(lam, lam, "coefficient e")
-    if not ax_nrm2 > 0.0:
+    # np.vdot raises no floating-point flag, so an overflowing inner product
+    # is reported here as the coefficient it makes, never as a numpy warning
+    a = _finite_coefficient("a", np.vdot(ax, ax))
+    e = _finite_coefficient("e", -np.vdot(lam, lam))
+    if not a > 0.0:
         raise DegenerateProblemError("ax_star is zero; the quartic has no positive root")
-    if not lam_nrm2 > 0.0:
+    if not e < 0.0:
         raise DegenerateProblemError("lambda_star is zero; the quartic has no positive root")
     b = d = 0.0
     if zeta0 is not None:
@@ -157,9 +157,9 @@ def build_coefficients(ax_star, lambda_star, zeta0=None) -> QuarticCoefficients:
         if z.shape != ax.shape:
             raise ValueError(f"zeta0 must have size {ax.size}, got {z.size}")
         _require_finite("zeta0", z)
-        b = -_finite_dot(ax, z, "coefficient b")
-        d = _finite_dot(lam, z, "coefficient d")
-    return QuarticCoefficients(a=ax_nrm2, b=b, d=d, e=-lam_nrm2)
+        b = _finite_coefficient("b", -np.vdot(ax, z))
+        d = _finite_coefficient("d", np.vdot(lam, z))
+    return QuarticCoefficients(a=a, b=b, d=d, e=e)
 
 
 def _biquadratic_root(a: float, e: float) -> float:

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quartic import (
-    _biquadratic_root,
-    _finite_dot,
+    _finite_coefficient,
     build_coefficients,
     optimal_gamma,
     solve_quartic,
@@ -41,6 +40,7 @@ ESTIMATED = "estimated"
 
 # iterate norms below this are treated as still-degenerate; keep the old gamma
 _DEGENERATE_NORM = 1e-12
+_FLOAT = np.dtype(float)
 
 
 def _check_gamma(name, value):
@@ -178,15 +178,25 @@ def estimate_step(state, plan: StepSizePlan) -> float:
     current = float(state.gamma)
     if plan.freeze_after is not None and state.k >= plan.freeze_after:
         return current
-    ax = np.asarray(state.ax, dtype=float).ravel()
-    lam = np.asarray(state.lam, dtype=float).ravel()
-    # the quartic's b = d = 0 case: a = ||A x||^2 and e = -||lam||^2 are
-    # its whole input, checked as build_coefficients checks them
-    ax2 = _finite_dot(ax, ax, "coefficient a")
-    lam2 = _finite_dot(lam, lam, "coefficient e")
+    ax, lam = state.ax, state.lam
+    # solve passes 1-D float64 arrays; anything else is converted first, so
+    # an integer iterate is squared in floating point and cannot wrap around
+    if not (type(ax) is np.ndarray and ax.ndim == 1 and ax.dtype is _FLOAT):
+        ax = np.asarray(ax, dtype=float).ravel()
+    if not (type(lam) is np.ndarray and lam.ndim == 1 and lam.dtype is _FLOAT):
+        lam = np.asarray(lam, dtype=float).ravel()
+    # the quartic's b = d = 0 case: a = ||A x||^2 and e = -||lam||^2 are its
+    # whole input, checked as build_coefficients checks them; np.vdot raises
+    # no floating-point flag, so an overflow needs no error context
+    ax2 = float(np.vdot(ax, ax))
+    lam2 = float(np.vdot(lam, lam))
+    if not (math.isfinite(ax2) and math.isfinite(lam2)):
+        _finite_coefficient("a", ax2)
+        _finite_coefficient("e", -lam2)
     if math.sqrt(ax2) < _DEGENERATE_NORM or math.sqrt(lam2) < _DEGENERATE_NORM:
         return current
-    alpha = _biquadratic_root(ax2, -lam2)
+    # the biquadratic root (-e/a)**(1/4), with the bits solve_quartic returns
+    alpha = (lam2 / ax2) ** 0.25
     new = alpha * alpha
     if plan.update_threshold > 0.0 and abs(new - current) <= plan.update_threshold * current:
         return current

@@ -220,12 +220,12 @@ def test_z_steps_are_the_closed_forms(desk, kind):
 def test_objective_is_finite_at_oracle(desk, oracle):
     for kind in KINDS:
         inst, o = desk(kind), oracle(kind)
-        assert np.isfinite(inst.spec.eval_objective(o.x, o.z)), kind
+        assert np.isfinite(inst.spec.objective(o.x, o.z)), kind
     # for the regularized regression the zero start is feasible, so the
     # solver must not end above it
     inst, o = desk("lasso"), oracle("lasso")
-    start = inst.spec.eval_objective(np.zeros(inst.spec.n), np.zeros(inst.spec.m))
-    assert inst.spec.eval_objective(o.x, o.z) <= start + 1e-9
+    start = inst.spec.objective(np.zeros(inst.spec.n), np.zeros(inst.spec.m))
+    assert inst.spec.objective(o.x, o.z) <= start + 1e-9
 
 
 @pytest.mark.parametrize("kind", KINDS)

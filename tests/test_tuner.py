@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -46,8 +48,11 @@ def test_zero_start_rejects_degenerate_vectors():
         gamma_zero_init([1e200] * 2, [1e200] * 2)
     with pytest.raises(ValueError, match="coefficient a must be finite"):
         gamma_general([1e200] * 2, [1e200] * 2)
+    # each coefficient reports its own value: e = -||lam||^2 is -inf
+    with pytest.raises(ValueError, match="coefficient e must be finite, got -inf"):
+        gamma_zero_init([1.0] * 2, [1e200] * 2)
     # finite squares whose inner products with the start overflow
-    with pytest.raises(ValueError, match="coefficient b must be finite"):
+    with pytest.raises(ValueError, match="coefficient b must be finite, got -inf"):
         gamma_general([1e150], [1.0], [1e200])
     with pytest.raises(ValueError, match="coefficient d must be finite"):
         gamma_general([1.0], [1e150], [1e200])
@@ -248,12 +253,28 @@ def test_zero_start_estimate_is_the_gamma_general_bits():
 
 def test_estimate_step_overflowing_iterates_raise():
     plan = StepSizePlan.estimated()
-    big = SolverState(ax=np.full(4, 1e200), lam=np.ones(4), gamma=1.0, k=2)
-    with pytest.raises(ValueError, match="coefficient a must be finite"):
-        estimate_step(big, plan)
-    big = SolverState(ax=np.ones(4), lam=np.full(4, 1e200), gamma=1.0, k=2)
-    with pytest.raises(ValueError, match="coefficient e must be finite"):
-        estimate_step(big, plan)
+    # called outside solve, whose error context would hide a numpy warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        big = SolverState(ax=np.full(4, 1e200), lam=np.ones(4), gamma=1.0, k=2)
+        with pytest.raises(ValueError, match="coefficient a must be finite, got inf"):
+            estimate_step(big, plan)
+        # e = -||lam||^2 overflows to its own value, -inf
+        big = SolverState(ax=np.ones(4), lam=np.full(4, 1e200), gamma=1.0, k=2)
+        with pytest.raises(ValueError, match="coefficient e must be finite, got -inf"):
+            estimate_step(big, plan)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_estimate_step_squares_integer_iterates_in_floating_point():
+    # 4 * (3e9)**2 = 3.6e19 wraps around in int64; as floats it is exact
+    plan = StepSizePlan.estimated()
+    big = [3_000_000_000] * 4
+    for ax in (big, np.array(big, dtype=np.int64)):
+        state = SolverState(ax=ax, lam=np.full(4, 6e9), gamma=1.0, k=2)
+        assert estimate_step(state, plan) == gamma_general(np.array(big, dtype=float), np.full(4, 6e9))
+        state = SolverState(ax=np.full(4, 6e9), lam=ax, gamma=1.0, k=2)
+        assert estimate_step(state, plan) == gamma_general(np.full(4, 6e9), np.array(big, dtype=float))
 
 
 def test_overflowing_quartic_raises_arithmetic_error():
@@ -268,16 +289,15 @@ def _gamma_general_estimate(state, plan):
     current = float(state.gamma)
     if plan.freeze_after is not None and state.k >= plan.freeze_after:
         return current
-    ax = state.ax if state.ax is not None else state.x
-    if np.linalg.norm(ax) < 1e-12 or np.linalg.norm(state.lam) < 1e-12:
+    if np.linalg.norm(state.ax) < 1e-12 or np.linalg.norm(state.lam) < 1e-12:
         return current
-    new = gamma_general(ax, state.lam)
+    new = gamma_general(state.ax, state.lam)
     if plan.update_threshold > 0.0 and abs(new - current) <= plan.update_threshold * current:
         return current
     return new
 
 
-@pytest.mark.parametrize("kind", ["lp", "tv"])
+@pytest.mark.parametrize("kind", ["lp", "qp", "lad", "huber", "bp", "lasso", "tv", "sics"])
 @pytest.mark.parametrize("plan", [StepSizePlan.estimated(), StepSizePlan.estimated(0.5, 0.01, 30)],
                          ids=["default", "threshold-freeze"])
 def test_estimated_gamma_column_is_the_gamma_general_loop(desk, monkeypatch, kind, plan):
@@ -286,9 +306,12 @@ def test_estimated_gamma_column_is_the_gamma_general_loop(desk, monkeypatch, kin
     got = at.solve(spec, plan, rule=rule)
     monkeypatch.setattr(tuner_mod, "estimate_step", _gamma_general_estimate)
     want = at.solve(spec, plan, rule=rule)
-    gammas = [row[1] for row in got.rows]
-    assert gammas == [row[1] for row in want.rows]
-    assert len(set(gammas)) > 1
+    # every column of every row and the final iterates, bit for bit
+    assert np.asarray(got.rows).tobytes() == np.asarray(want.rows).tobytes()
+    assert got.final_gamma == want.final_gamma
+    for name in ("x", "z", "lam", "zeta_unscaled"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert len({row[1] for row in got.rows}) > 1
 
 
 def test_solve_estimates_once_per_sweep_after_the_first(desk, monkeypatch):
