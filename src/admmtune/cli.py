@@ -189,9 +189,10 @@ def _parse_plan(token):
             f"unknown plan {token!r}; use fixed[:gamma], estimated[:gamma0], "
             "oracle, pair[:beta], asym-primal[:beta], or asym-dual[:beta]"
         )
+    if name == "oracle" and arg:
+        raise ConfigError(f"plan {token!r}: oracle takes no argument")
     try:
-        # the oracle token ignores its argument
-        return name, float(arg) if arg and name != "oracle" else 1.0
+        return name, float(arg) if arg else 1.0
     except ValueError as err:
         raise ConfigError(f"plan {token!r}: {err}") from None
 

@@ -26,7 +26,7 @@ from numpy.linalg import svd
 
 from . import tuner as _tuner
 from .prox import _check_full_rank
-from .quartic import _require_finite
+from .quartic import _require_finite, solve_quartic
 
 __all__ = [
     "ProblemSpec",
@@ -168,7 +168,6 @@ class RunRecord:
     lam: np.ndarray = None
     ax: np.ndarray = None
     zeta_unscaled: np.ndarray = None
-    trace: dict = None
 
     @property
     def residues(self):
@@ -228,7 +227,7 @@ def drs_step(zeta, spec: ProblemSpec, gamma: float, theta: float = 0.5):
 # or ArithmeticError for a non-finite iterate), not as a numpy warning
 @np.errstate(over="ignore", invalid="ignore")
 def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
-          trace: bool = False, *, columns: bool = True) -> RunRecord:
+          *, columns: bool = True) -> RunRecord:
     """Run the splitting solver under a step-size plan.
 
     Parameters
@@ -247,9 +246,6 @@ def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
     rule : TerminationRule
         Defaults to tol 1e-6, max_iter 10000, theta 0.5.  tol = inf returns
         immediately after 0 sweeps with an empty history.
-    trace : bool
-        When True the record carries the scaled iterate and primal-image
-        sequences (keys "sigma", "y_one") for diagnostics.
     columns : bool, keyword-only
         When True (default) each row carries the objective and the
         infeasibility ``||A x + B z - c||``.  When False both are recorded as
@@ -276,7 +272,6 @@ def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
     sigma = zeta_u / rg
 
     rows = []
-    traced = {"sigma": [sigma.copy()], "y_one": [None]} if trace else None
     # tol = inf is met by the start itself: no sweep runs
     iterations_to_tol = 0 if math.isinf(rule.tol) else None
     max_iter = 0 if math.isinf(rule.tol) else rule.max_iter
@@ -314,9 +309,6 @@ def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
             rows.append((k, gamma, residue,
                          math.nan if objective is None else float(objective(x, z)),
                          math.sqrt(gap.dot(gap))))
-        if trace:
-            traced["sigma"].append(sigma_new.copy())
-            traced["y_one"].append(ax.copy())
         if residue <= tol:
             iterations_to_tol = k
             break
@@ -327,7 +319,7 @@ def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
         plan=plan.describe(), rows=rows, iterations=len(rows),
         iterations_to_tol=iterations_to_tol, converged=iterations_to_tol is not None,
         wall_time=time.perf_counter() - t0, final_gamma=gamma,
-        x=x, z=z, lam=lam, ax=ax, zeta_unscaled=rg * sigma_new, trace=traced,
+        x=x, z=z, lam=lam, ax=ax, zeta_unscaled=rg * sigma_new,
     )
 
 
@@ -407,7 +399,7 @@ def contradiction_demo(spec: ProblemSpec, zeta0=None, *, ax_star,
     )
     contradiction = (g1 is None) or (g1 <= 0.0) or (g2 <= 0.0) or not agree
 
-    alpha = _tuner.solve_quartic(coeffs)
+    alpha = solve_quartic(coeffs)
     return ContradictionReport(
         gamma_dagger_primal=g1,
         gamma_dagger_dual=g2,

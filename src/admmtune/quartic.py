@@ -28,7 +28,6 @@ __all__ = [
     "QuarticCoefficients",
     "build_coefficients",
     "solve_quartic",
-    "optimal_gamma",
 ]
 
 # roots with |Im| below this (relative) are treated as real
@@ -162,11 +161,6 @@ def build_coefficients(ax_star, lambda_star, zeta0=None) -> QuarticCoefficients:
     return QuarticCoefficients(a=a, b=b, d=d, e=e)
 
 
-def _biquadratic_root(a: float, e: float) -> float:
-    """Positive root of ``a*alpha**4 + e`` for ``a > 0 > e``: the b = d = 0 quartic."""
-    return (-e / a) ** 0.25
-
-
 def _ferrari_roots(a: float, b: float, d: float, e: float):
     """All four roots of a*x^4 + b*x^3 + d*x + e by radicals.
 
@@ -263,11 +257,11 @@ def solve_quartic(coefficients: QuarticCoefficients) -> float:
         raise ValueError(f"solve_quartic requires a > 0, got a={c.a}")
     if not c.e < 0.0:
         raise ValueError(f"solve_quartic requires e < 0, got e={c.e}")
-    scale = c.scale()
     if c.b == 0.0 and c.d == 0.0:
-        # biquadratic case: the radical formulas divide by zero here
-        return _biquadratic_root(c.a, c.e)
+        # biquadratic case a*alpha**4 + e: the radical formulas divide by zero here
+        return (-c.e / c.a) ** 0.25
 
+    scale = c.scale()
     roots = _ferrari_roots(c.a, c.b, c.d, c.e)
     candidates = _positive_real(roots, c, scale)
     if not candidates:
@@ -302,9 +296,3 @@ def _positive_real(roots, c: QuarticCoefficients, scale: float):
             continue
         merged.append(alpha)
     return merged
-
-
-def optimal_gamma(coefficients: QuarticCoefficients) -> float:
-    """Optimal step size, the square of the selected quartic root."""
-    alpha = solve_quartic(coefficients)
-    return alpha * alpha

@@ -16,12 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quartic import (
-    _finite_coefficient,
-    build_coefficients,
-    optimal_gamma,
-    solve_quartic,
-)
+from . import quartic
+from .quartic import _finite_coefficient, build_coefficients
 
 __all__ = [
     "FIXED",
@@ -120,7 +116,10 @@ class OptimalPair:
     def __post_init__(self):
         if not (math.isfinite(self.beta) and self.beta > 0.0):
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
-        if abs(self.gamma - self.beta * self.beta) > 1e-12 * self.gamma:
+        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        # written so that a NaN gap fails
+        if not abs(self.gamma - self.beta * self.beta) <= 1e-12 * self.gamma:
             raise ValueError("gamma must equal beta**2")
 
 
@@ -138,8 +137,10 @@ def gamma_zero_init(ax_star, lambda_star) -> float:
 
 
 def gamma_general(ax_star, lambda_star, zeta0=None) -> float:
-    """Optimal step size for an arbitrary start, via the quartic root."""
-    return optimal_gamma(build_coefficients(ax_star, lambda_star, zeta0))
+    """Optimal step size for an arbitrary start, the square of the quartic root."""
+    # the module attribute, so that a wrapper set on quartic.solve_quartic sees the call
+    alpha = quartic.solve_quartic(build_coefficients(ax_star, lambda_star, zeta0))
+    return alpha * alpha
 
 
 def estimate_step(state, plan: StepSizePlan) -> float:

@@ -141,6 +141,27 @@ def test_prox_identities_random_sweep(record_criterion):
     assert passed
 
 
+def _unit_step_chain(spec, sweeps):
+    """The first ``sweeps`` iterates of the fixed(1) run from the zero start.
+
+    Each sweep is a one-sweep solve started from the previous record's
+    ``zeta_unscaled``; returns the residues, the scaled iterates sigma^0..
+    sigma^sweeps and the primal images [None, A x^1, .., A x^sweeps].  The
+    chain repeats the run bit for bit only at gamma = 1, where the unscaled
+    start is the scaled iterate itself: at another gamma the ``/ sqrt(gamma)``
+    on entry and the ``* sqrt(gamma)`` on exit round.
+    """
+    plan = at.StepSizePlan.fixed(1.0)
+    one = at.TerminationRule(tol=1e-300, max_iter=1)
+    residues, sigma, y_one = [], [np.zeros(spec.p)], [None]
+    for _ in range(sweeps):
+        rec = at.solve(spec, plan, init=sigma[-1], rule=one, columns=False)
+        residues.append(rec.residues[0])
+        sigma.append(rec.zeta_unscaled)
+        y_one.append(rec.ax)
+    return residues, sigma, y_one
+
+
 def test_residue_monotonicity_rate_and_sandwich(desk, oracle, record_criterion):
     worst_mono = -np.inf
     worst_sandwich = -np.inf
@@ -149,16 +170,16 @@ def test_residue_monotonicity_rate_and_sandwich(desk, oracle, record_criterion):
         inst, o = desk(kind), oracle(kind)
         zeta_star = o.ax + o.lam  # unscaled fixed point at unit step size
         rec = at.solve(inst.spec, at.StepSizePlan.fixed(1.0), init=None,
-                       rule=at.TerminationRule(tol=1e-6, max_iter=10_000),
-                       trace=True)
+                       rule=at.TerminationRule(tol=1e-6, max_iter=10_000))
         res = rec.residues
+        chain_res, sigma, y_one = _unit_step_chain(inst.spec, len(res))
+        assert chain_res == res, kind
         worst_mono = max(worst_mono,
                          max((res[i + 1] - res[i] for i in range(len(res) - 1)),
                              default=-np.inf))
         d0_sq = float(zeta_star @ zeta_star)
         rate_ok &= all(res[k - 1] ** 2 <= d0_sq / k + 1e-12
                        for k in range(1, len(res) + 1))
-        sigma, y_one = rec.trace["sigma"], rec.trace["y_one"]
         for j in range(1, len(y_one) - 1):
             lhs = float(np.linalg.norm(y_one[j + 1] - y_one[j]) ** 2)
             rhs = float(np.linalg.norm(sigma[j] - sigma[j - 1]) ** 2)

@@ -194,6 +194,16 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert run_cli(["run", "--config", str(bad_value)]) == 2
     assert "tol" in capsys.readouterr().err
 
+    bad_strict = tmp_path / "bad_strict.ini"
+    bad_strict.write_text("[run]\nkind = qp\nplans = fixed:1\nstrict = maybe\n")
+    assert run_cli(["run", "--config", str(bad_strict)]) == 2
+    assert "strict" in capsys.readouterr().err
+
+    headless = tmp_path / "headless.ini"
+    headless.write_text("kind = qp\n")
+    assert run_cli(["run", "--config", str(headless), "--plan", "fixed:1"]) == 2
+    assert str(headless) in capsys.readouterr().err
+
 
 def test_config_unknown_keys_exit_two(tmp_path, capsys):
     out = tmp_path / "never"
@@ -250,7 +260,7 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert "profile" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("token", ["warp:1", "pair:-1"])
+@pytest.mark.parametrize("token", ["warp:1", "pair:-1", "fixed:abc", "oracle:abc", "oracle:5"])
 def test_bad_plan_token_writes_no_csv(tmp_path, capsys, token):
     out = tmp_path / "partial"
     assert run_cli(["run", "--kind", "qp", "--plan", "fixed", "--plan", token,
@@ -278,6 +288,14 @@ def test_strict_flag_turns_nonconvergence_into_exit_three(tmp_path):
     summary = json.loads((tmp_path / "strict" / "lasso_desk_seed0_summary.json").read_text())
     assert summary["runs"][0]["converged"] is False
     assert summary["runs"][0]["iterations_to_tol"] is None
+
+
+@pytest.mark.parametrize("value, code", [("off", 0), ("on", 3)])
+def test_config_strict_turns_nonconvergence_into_exit_three(tmp_path, value, code):
+    config = tmp_path / "strict.ini"
+    config.write_text(f"[run]\nkind = lasso\nplans = fixed:1e-3\nmax-iter = 5\n"
+                      f"out = {tmp_path / 'strict'}\nstrict = {value}\n")
+    assert run_cli(["run", "--config", str(config)]) == code
 
 
 def test_grid_outputs(tmp_path):

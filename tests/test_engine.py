@@ -44,6 +44,15 @@ def test_dimension_conflicts_rejected():
         ProblemSpec(prox_f=None, prox_g=None, A=np.ones((3, 2)), c=np.ones(4))
 
 
+@pytest.mark.parametrize("maps, message", [
+    (dict(A=np.ones(3)), r"A must be 2-d, got shape \(3,\)"),
+    (dict(B=np.ones((2, 2, 2))), r"B must be 2-d, got shape \(2, 2, 2\)"),
+])
+def test_constraint_maps_must_be_matrices(maps, message):
+    with pytest.raises(ValueError, match=message):
+        ProblemSpec(prox_f=None, prox_g=None, **maps)
+
+
 def test_rank_check_toggle():
     deficient = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
     with pytest.raises(ValueError):
@@ -241,20 +250,9 @@ def test_bare_vector_start_is_the_unscaled_iterate():
     g = 2.5
     zeta0 = np.ones(6)
     rec = solve(spec, StepSizePlan.fixed(g), init=zeta0,
-                rule=TerminationRule(tol=1e-300, max_iter=1), trace=True)
-    assert np.allclose(rec.trace["sigma"][0], zeta0 / np.sqrt(g), atol=1e-14)
-
-
-def test_trace_shapes():
-    spec = small_spec(seed=11)
-    rec = solve(spec, StepSizePlan.fixed(1.0),
-                rule=TerminationRule(tol=1e-300, max_iter=9), trace=True)
-    assert len(rec.trace["sigma"]) == 10  # initial point plus one per sweep
-    assert rec.trace["y_one"][0] is None
-    assert len(rec.trace["y_one"]) == 10
-    no_trace = solve(spec, StepSizePlan.fixed(1.0),
-                     rule=TerminationRule(tol=1e-300, max_iter=9))
-    assert no_trace.trace is None
+                rule=TerminationRule(tol=1e-300, max_iter=1))
+    sigma1 = drs_step(zeta0 / np.sqrt(g), spec, g)
+    assert np.array_equal(rec.zeta_unscaled, np.sqrt(g) * sigma1)
 
 
 def test_residue_monotone_under_fixed_gamma():

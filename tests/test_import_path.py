@@ -15,7 +15,8 @@ from pathlib import Path
 import admmtune
 from admmtune import engine, problems, prox, quartic, tuner
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 PROGRAM = """
 import sys
@@ -72,3 +73,11 @@ def test_package_reexports_each_module_list():
     for module in modules:
         for name in module.__all__:
             assert getattr(admmtune, name) is getattr(module, name), name
+
+
+def test_readme_modules_section_names_every_public_name():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Modules", 1)[1].split("Removed public names", 1)[0]
+    missing = [name for name in admmtune.__all__
+               if not name.startswith("__") and f"`{name}`" not in section]
+    assert not missing

@@ -538,6 +538,44 @@ def test_handle_validates_inputs():
         catalog_prox("l1", dim=5, weight=-1.0)
 
 
+_ASYMMETRIC = np.array([[1.0, 1.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: ProxHandle(lambda v, t: v, CLASSICAL, 0),
+                 "dim must be a positive integer", id="handle-dim-0"),
+    pytest.param(lambda: moreau_complement(HANDLES["l1"]),
+                 f"expected a {NEW} handle", id="complement-of-classical"),
+    pytest.param(lambda: catalog_prox("affine_set", A=np.eye(2), b=np.zeros(3)),
+                 r"need A \(p, n\) and b", id="affine_set-shapes"),
+    pytest.param(lambda: catalog_prox("lstsq", A=np.eye(2), b=np.zeros(3)),
+                 r"need A \(m, n\) and b", id="lstsq-shapes"),
+    pytest.param(lambda: catalog_prox("quad_affine", P=np.ones((2, 3))),
+                 "P must be square", id="quad_affine-P-not-square"),
+    pytest.param(lambda: catalog_prox("quad_affine", P=np.eye(2), q=np.zeros(3)),
+                 "q must have length 2", id="quad_affine-q-length"),
+    pytest.param(lambda: catalog_prox("quad_affine", P=np.eye(2), b=np.zeros(1)),
+                 "b given without A", id="quad_affine-b-without-A"),
+    pytest.param(lambda: catalog_prox("quad_affine", P=np.eye(2), A=np.ones((1, 3)), b=np.zeros(1)),
+                 r"need A \(p, 2\)", id="quad_affine-A-width"),
+    pytest.param(lambda: catalog_prox("huber", dim=2, delta=0.0),
+                 "delta must be positive", id="huber-delta-0"),
+    pytest.param(lambda: catalog_prox("huber", dim=2, weight=-1.0),
+                 "weight must be nonnegative", id="huber-weight-negative"),
+    pytest.param(lambda: catalog_prox("tv_quad", n=1), "need n >= 2", id="tv_quad-n-1"),
+    pytest.param(lambda: catalog_prox("tv_quad", n=3, target=np.zeros(3)),
+                 "target must have length 2", id="tv_quad-target-length"),
+    pytest.param(lambda: catalog_prox("logdet_quad", n=0), "need n >= 1", id="logdet_quad-n-0"),
+    pytest.param(lambda: catalog_prox("logdet_quad", n=2, S=np.eye(3)),
+                 r"S must be \(2, 2\)", id="logdet_quad-S-shape"),
+    pytest.param(lambda: catalog_prox("logdet_quad", n=2, S=_ASYMMETRIC),
+                 "S must be symmetric", id="logdet_quad-S-asymmetric"),
+])
+def test_builders_reject_bad_arguments(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 @st.composite
 def _catalog_points(draw):
     """A catalog handle from ``HANDLES``, two points of its dimension and a log-uniform scale."""

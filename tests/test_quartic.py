@@ -7,7 +7,6 @@ from admmtune import (
     DegenerateProblemError,
     QuarticCoefficients,
     build_coefficients,
-    optimal_gamma,
     solve_quartic,
 )
 
@@ -34,7 +33,7 @@ def positive_real_roots(c):
 def test_pure_even_coefficients_reduce_to_fourth_root():
     c = QuarticCoefficients(a=1.0, b=0.0, d=0.0, e=-9.0)
     assert solve_quartic(c) == pytest.approx(np.sqrt(3.0), rel=1e-12)
-    assert optimal_gamma(c) == pytest.approx(3.0, rel=1e-12)
+    assert solve_quartic(c) ** 2 == pytest.approx(3.0, rel=1e-12)
 
 
 def test_known_general_root():
@@ -46,7 +45,7 @@ def test_known_general_root():
 
 def test_unit_root_exact():
     c = QuarticCoefficients(a=4.0, b=0.0, d=0.0, e=-4.0)
-    assert optimal_gamma(c) == 1.0
+    assert solve_quartic(c) == 1.0
 
 
 def test_matches_bisection_on_randomized_coefficients():
@@ -84,6 +83,8 @@ def test_sign_constraints_rejected():
         solve_quartic(QuarticCoefficients(a=1.0, b=0.0, d=0.0, e=0.0))
     with pytest.raises(ValueError):
         QuarticCoefficients(a=np.nan, b=0.0, d=0.0, e=-1.0)
+    with pytest.raises(ValueError, match="defined for alpha > 0"):
+        QuarticCoefficients(a=1.0, b=0.0, d=0.0, e=-1.0).objective(0.0)
 
 
 def test_build_coefficients_from_vectors():

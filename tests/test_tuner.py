@@ -85,6 +85,28 @@ def test_optimal_pair_contents_and_invariant():
         OptimalPair(beta=2.0, zeta0=pair.zeta0, gamma=3.9)
 
 
+_ONES = np.ones(3)
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: OptimalPair(beta=2.0, zeta0=_ONES, gamma=np.nan),
+                 "gamma must be positive and finite", id="nan-gamma"),
+    pytest.param(lambda: optimal_pair(_ONES, _ONES, 1e200),
+                 "gamma must be positive and finite", id="gamma-overflows"),
+    pytest.param(lambda: optimal_pair(_ONES, _ONES, 1e-200),
+                 "gamma must be positive and finite", id="gamma-underflows"),
+    pytest.param(lambda: asymptotic_pair("primal", _ONES, 1e200),
+                 "gamma must be positive and finite", id="asymptotic-gamma-overflows"),
+    pytest.param(lambda: asymptotic_pair("dual", _ONES, 1e-200),
+                 "gamma must be positive and finite", id="asymptotic-gamma-underflows"),
+    pytest.param(lambda: optimal_pair(_ONES, np.ones(4), 1.0),
+                 "matching sizes, got 3 and 4", id="mismatched-sizes"),
+])
+def test_pairs_reject_bad_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_asymptotic_pairs():
     rng = np.random.default_rng(3)
     u = rng.normal(size=7)
