@@ -232,19 +232,17 @@ def _cmd_run(args):
     plans = args.plans or args.config_plans
     if not plans:
         raise ConfigError("at least one plan is required (--plan or config 'plans')")
-    rule = TerminationRule(tol=args.tol, max_iter=args.max_iter, theta=args.theta)
+    rule = TerminationRule(tol=args.tol, max_iter=args.max_iter)
     parsed = [_parse_plan(token) for token in plans]
 
     instance = problems.generate(args.kind, profile=args.profile, seed=args.seed)
     init_vec = _resolve_init(args, instance)
 
-    # a zero-start fixed:1 plan at the default theta is the first stretch of
-    # the oracle's reference run: it is solved once, and the reference run
-    # resumes where it stopped
+    # a zero-start fixed:1 plan is the first stretch of the oracle's reference
+    # run: it is solved once, and the reference run resumes where it stopped
     unit_fixed = [name == "fixed" and value == 1.0 for name, value in parsed]
     shared = None
-    if (init_vec is None and rule.theta == TerminationRule.theta
-            and any(name in _ORACLE_PLANS for name, _ in parsed) and any(unit_fixed)):
+    if init_vec is None and any(name in _ORACLE_PLANS for name, _ in parsed) and any(unit_fixed):
         shared = solve(instance.spec, tuner.StepSizePlan.fixed(1.0), init=None, rule=rule)
         problems.compute_oracle(instance, prefix=shared)
     # every plan is checked before the first CSV is written
@@ -283,7 +281,7 @@ def _cmd_run(args):
               f"final_gamma={record.final_gamma:.6g}, csv={csv_name}")
 
     path = _write_report(args, "summary", dims=dict(instance.dims), params=instance.params,
-                         tol=rule.tol, max_iter=rule.max_iter, theta=rule.theta, init=args.init,
+                         tol=rule.tol, max_iter=rule.max_iter, init=args.init,
                          runs=summary_runs)
     print(f"summary: {path}")
     if args.strict and not all_converged:
@@ -294,7 +292,7 @@ def _cmd_run(args):
 def _cmd_grid(args):
     tag = _resolve_common(args)
     gamma_min, gamma_max, points = args.gamma_min, args.gamma_max, args.points
-    rule = TerminationRule(tol=args.tol, max_iter=args.max_iter, theta=args.theta)
+    rule = TerminationRule(tol=args.tol, max_iter=args.max_iter)
     if points < 1:
         raise ConfigError(f"points must be at least 1, got {points}")
     if not (math.isfinite(gamma_min) and math.isfinite(gamma_max)):
@@ -316,7 +314,12 @@ def _cmd_grid(args):
         except (ArithmeticError, ValueError) as err:
             print(f"{_PROG}: grid point gamma={gamma!r} failed: {err}", file=sys.stderr)
             iterations.append(None)
-    best = min(range(points), key=lambda i: (math.inf if iterations[i] is None else iterations[i], i))
+    converged = [i for i, iters in enumerate(iterations) if iters is not None]
+    # the fewest sweeps, the smallest step size among ties; None when no
+    # point converged
+    best = min(converged, key=iterations.__getitem__, default=None)
+    best_gamma = None if best is None else gammas[best]
+    best_iterations = None if best is None else iterations[best]
     # the best point on either end of the grid hints that it should be widened
     boundary_hit = points > 1 and best in (0, points - 1)
 
@@ -327,13 +330,12 @@ def _cmd_grid(args):
     _atomic_write(os.path.join(args.out, f"{tag}_grid.csv"), "\n".join(lines) + "\n")
 
     _write_report(args, "grid", dims=dict(instance.dims), tol=rule.tol, max_iter=rule.max_iter,
-                  theta=rule.theta, points=points, gamma_min=gamma_min, gamma_max=gamma_max,
-                  best_gamma=gammas[best], best_iterations=iterations[best],
-                  boundary_hit=boundary_hit,
-                  converged_points=sum(iters is not None for iters in iterations))
-    best_text = "none" if iterations[best] is None else str(iterations[best])
-    print(f"{tag} grid: best_gamma={gammas[best]:.6g} iterations={best_text} "
-          f"boundary_hit={boundary_hit} csv={tag}_grid.csv")
+                  points=points, gamma_min=gamma_min, gamma_max=gamma_max,
+                  best_gamma=best_gamma, best_iterations=best_iterations,
+                  boundary_hit=boundary_hit, converged_points=len(converged))
+    best_text = ("best_gamma=none iterations=none" if best is None
+                 else f"best_gamma={best_gamma:.6g} iterations={best_iterations}")
+    print(f"{tag} grid: {best_text} boundary_hit={boundary_hit} csv={tag}_grid.csv")
     if args.strict and None in iterations:
         return 3
     return 0
@@ -378,8 +380,6 @@ def _add_rule(parser, tol, strict_help):
                         help="residue tolerance (default %(default)s)")
     parser.add_argument("--max-iter", type=int, default=TerminationRule.max_iter,
                         help="sweep limit (default %(default)s)")
-    parser.add_argument("--theta", type=float, default=TerminationRule.theta,
-                        help="averaging weight in (0,1) (default %(default)s)")
     parser.add_argument("--strict", action="store_true", help=strict_help)
 
 

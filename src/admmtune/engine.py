@@ -11,8 +11,8 @@ Internally the loop iterates the equivalent fixed-point map on the scaled
 vector ``sigma = A x + lam/gamma``; the unscaled counterpart
 ``zeta = sqrt(gamma) A x + lam/sqrt(gamma)`` is what step-size selection
 reasons about, and recorded residues are distances between consecutive
-unscaled vectors.  The relaxation weight ``theta`` averages the fixed-point
-map; ``theta = 0.5`` reproduces the alternating scheme above exactly.
+unscaled vectors.  That map is the Douglas-Rachford map averaged at 1/2,
+whose iterates the alternating scheme above traces exactly.
 """
 
 from __future__ import annotations
@@ -134,15 +134,12 @@ class TerminationRule:
 
     tol: float = 1e-6
     max_iter: int = 10_000
-    theta: float = 0.5
 
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive (inf allowed), got {self.tol}")
         if isinstance(self.max_iter, bool) or not (isinstance(self.max_iter, int) and self.max_iter >= 0):
             raise ValueError(f"max_iter must be a nonnegative integer (not a bool), got {self.max_iter!r}")
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
 
 
 @dataclass
@@ -181,17 +178,14 @@ class RunRecord:
         return None
 
 
-def _drs_sweep(spec, theta):
-    """The averaged fixed-point sweep of ``spec`` as ``sweep(sigma, gamma)``.
+def _drs_sweep(spec):
+    """The half-averaged fixed-point sweep of ``spec`` as ``sweep(sigma, gamma)``.
 
     ``sweep`` returns ``(sigma_new, x, z, y_half, y_one, gap)`` with
     ``gap = y_one - y_half``, which both the update of the scaled vector and
     the infeasibility column read.
     """
     prox_f, prox_g, A, B, c = spec.prox_f, spec.prox_g, spec.A, spec.B, spec.c
-    two_theta = 2.0 * theta
-    # at theta = 0.5 the weight is 1.0, and 1.0 * gap is gap in IEEE arithmetic
-    unit = two_theta == 1.0
 
     def sweep(sigma, gamma):
         z = prox_g(c - sigma, gamma)
@@ -200,27 +194,25 @@ def _drs_sweep(spec, theta):
         x = prox_f(2.0 * y_half - sigma, gamma)
         y_one = x if A is None else A @ x
         gap = y_one - y_half
-        return sigma + (gap if unit else two_theta * gap), x, z, y_half, y_one, gap
+        return sigma + gap, x, z, y_half, y_one, gap
 
     return sweep
 
 
-def drs_step(zeta, spec: ProblemSpec, gamma: float, theta: float = 0.5):
-    """One sweep of the averaged splitting map on the scaled vector ``zeta``.
+def drs_step(zeta, spec: ProblemSpec, gamma: float):
+    """One sweep of the half-averaged splitting map on the scaled vector ``zeta``.
 
-    At ``theta = 0.5`` this is exactly the map whose iterates the alternating
-    x, z and multiplier steps trace through ``zeta^k = A x^{k+1} + lam^k / gamma``.
+    This is exactly the map whose iterates the alternating x, z and
+    multiplier steps trace through ``zeta^k = A x^{k+1} + lam^k / gamma``.
     A non-finite ``zeta``, or a ``gamma`` whose reciprocal overflows, raises
     ValueError.
     """
     _tuner._check_gamma("gamma", gamma)
-    if not 0.0 < theta < 1.0:
-        raise ValueError(f"theta must lie in (0, 1), got {theta}")
     zeta = np.asarray(zeta, dtype=float).ravel()
     if zeta.size != spec.p:
         raise ValueError(f"zeta must have length {spec.p}, got {zeta.size}")
     _require_finite("zeta", zeta)
-    return _drs_sweep(spec, theta)(zeta, gamma)[0]
+    return _drs_sweep(spec)(zeta, gamma)[0]
 
 
 # an overflow is reported through the run's outcomes (an infinite residue,
@@ -244,7 +236,7 @@ def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
         another length or with a non-finite entry raises ValueError before
         any sweep.
     rule : TerminationRule
-        Defaults to tol 1e-6, max_iter 10000, theta 0.5.  tol = inf returns
+        Defaults to tol 1e-6 and max_iter 10000.  tol = inf returns
         immediately after 0 sweeps with an empty history.
     columns : bool, keyword-only
         When True (default) each row carries the objective and the
@@ -277,7 +269,7 @@ def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
     max_iter = 0 if math.isinf(rule.tol) else rule.max_iter
     # the estimator reads one state per run, refreshed in place each sweep
     state = SolverState(ax=None, lam=None, gamma=gamma) if plan.mode == _tuner.ESTIMATED else None
-    sweep = _drs_sweep(spec, rule.theta)
+    sweep = _drs_sweep(spec)
     objective, tol = spec.objective, rule.tol
     sigma_new = sigma
     for k in range(1, max_iter + 1):

@@ -498,15 +498,15 @@ def compute_oracle(instance: ProblemInstance, *, prefix=None) -> OracleSolution:
     ``instance.oracle = None`` to recompute it.
 
     ``prefix`` (keyword-only) is a record of the start of that same run:
-    ``solve(instance.spec, StepSizePlan.fixed(1.0), init=None, rule)`` with
-    ``rule.theta == 0.5``, at any tol and max_iter.  That it ran on this
-    instance is the caller's contract; a record whose plan or final step
-    size is not exactly fixed(1.0), or whose ``zeta_unscaled`` does not have
-    length ``spec.p``, raises ValueError.  When no row before its last
-    reaches ``tol`` and it took at most ``max_iter`` sweeps, the run resumes
-    from its ``zeta_unscaled`` (at unit step size, the loop's scaled iterate
-    itself), or ends on its own iterates when its last row meets ``tol``;
-    otherwise it starts from scratch.  The result, sweep count included, is
+    ``solve(instance.spec, StepSizePlan.fixed(1.0), init=None, rule)`` at
+    any tol and max_iter.  That it ran on this instance is the caller's
+    contract; a record whose plan or final step size is not exactly
+    fixed(1.0), or whose ``zeta_unscaled`` does not have length ``spec.p``,
+    raises ValueError.  When no row before its last reaches ``tol`` and it
+    took at most ``max_iter`` sweeps, the run resumes from its
+    ``zeta_unscaled`` (at unit step size, the loop's scaled iterate itself),
+    or ends on its own iterates when its last row meets ``tol``; otherwise
+    it starts from scratch.  The result, sweep count included, is
     bit-identical to a run from scratch, and neither record is changed.
 
     Where the optimal multiplier is not unique (lad and bp), the pair is the

@@ -32,7 +32,7 @@ __all__ = [
 
 # roots with |Im| below this (relative) are treated as real
 _REAL_TOL = 1e-8
-# Newton-polish a root while |p| exceeds this times the coefficient scale
+# Newton-polish a root while |p| exceeds this times the size of its terms
 _POLISH_TOL = 1e-12
 # relative gap under which two positive roots are considered the same root
 _MERGE_TOL = 1e-7
@@ -89,7 +89,7 @@ class QuarticCoefficients:
         return (self.a * alpha + 2.0 * self.b) * alpha - (2.0 * self.d + self.e / alpha) / alpha
 
     def scale(self) -> float:
-        """Magnitude of the largest coefficient, used for residual tolerances."""
+        """Magnitude of the largest coefficient."""
         return max(abs(self.a), abs(self.b), abs(self.d), abs(self.e))
 
 
@@ -207,13 +207,18 @@ def _companion_roots(a: float, b: float, d: float, e: float):
         return []
 
 
-def _polish(alpha: float, c: QuarticCoefficients, scale: float) -> float:
+def _terms(c: QuarticCoefficients, alpha: float) -> float:
+    """Size ``a*alpha**4 + |b|*alpha**3 + |d|*alpha + |e|`` of the terms that cancel in p(alpha)."""
+    return ((c.a * alpha + abs(c.b)) * alpha * alpha + abs(c.d)) * alpha + abs(c.e)
+
+
+def _polish(alpha: float, c: QuarticCoefficients) -> float:
     """Up to three Newton steps; keeps the best iterate seen."""
     best = alpha
     best_res = abs(c.poly(alpha))
     cur = alpha
     for _ in range(3):
-        if best_res <= _POLISH_TOL * scale:
+        if best_res <= _POLISH_TOL * _terms(c, best):
             break
         deriv = c.poly_deriv(cur)
         if deriv == 0.0 or not math.isfinite(deriv):
@@ -239,9 +244,9 @@ def solve_quartic(coefficients: QuarticCoefficients) -> float:
     Returns
     -------
     float
-        A positive root with ``|p(root)| <= 1e-9 * max(|a|, |b|, |d|, |e|, m)``,
-        where ``m = a*root**4 + |b|*root**3 + |d|*root + |e|`` is the size
-        of the terms that cancel in ``p(root)``.
+        A positive root with ``|p(root)| <= 1e-9 * m``, where
+        ``m = a*root**4 + |b|*root**3 + |d|*root + |e|`` is the size of the
+        terms that cancel in ``p(root)``.
         In the rare case of several positive roots, the one minimizing the
         distance objective ``coefficients.objective`` is returned.
 
@@ -261,11 +266,9 @@ def solve_quartic(coefficients: QuarticCoefficients) -> float:
         # biquadratic case a*alpha**4 + e: the radical formulas divide by zero here
         return (-c.e / c.a) ** 0.25
 
-    scale = c.scale()
-    roots = _ferrari_roots(c.a, c.b, c.d, c.e)
-    candidates = _positive_real(roots, c, scale)
+    candidates = _positive_real(_ferrari_roots(c.a, c.b, c.d, c.e), c)
     if not candidates:
-        candidates = _positive_real(_companion_roots(c.a, c.b, c.d, c.e), c, scale)
+        candidates = _positive_real(_companion_roots(c.a, c.b, c.d, c.e), c)
     if not candidates:
         raise ArithmeticError(
             f"no positive real root passed validation for coefficients {c!r}"
@@ -275,7 +278,7 @@ def solve_quartic(coefficients: QuarticCoefficients) -> float:
     return min(candidates, key=c.objective)
 
 
-def _positive_real(roots, c: QuarticCoefficients, scale: float):
+def _positive_real(roots, c: QuarticCoefficients):
     """Filter complex roots to validated positive reals, merging duplicates."""
     out = []
     for r in roots:
@@ -284,10 +287,10 @@ def _positive_real(roots, c: QuarticCoefficients, scale: float):
         alpha = r.real
         if alpha <= 0.0:
             continue
-        alpha = _polish(alpha, c, scale)
-        # far from 1, p(alpha) cancels terms larger than the coefficients
-        terms = ((c.a * alpha + abs(c.b)) * alpha * alpha + abs(c.d)) * alpha + abs(c.e)
-        if alpha > 0.0 and abs(c.poly(alpha)) <= 1e-9 * max(scale, terms):
+        alpha = _polish(alpha, c)
+        # p(alpha) is judged against its own terms, not the coefficients:
+        # a small root's terms can be far below the largest coefficient
+        if alpha > 0.0 and abs(c.poly(alpha)) <= 1e-9 * _terms(c, alpha):
             out.append(alpha)
     out.sort()
     merged = []

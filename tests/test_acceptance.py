@@ -218,7 +218,7 @@ def _grid_counter(spec, rule):
     # only the counts are read: the objective and infeasibility columns are
     # skipped, which keeps every residue bit
     def count(gamma, cap):
-        capped = at.TerminationRule(rule.tol, max_iter=cap, theta=rule.theta)
+        capped = at.TerminationRule(rule.tol, max_iter=cap)
         return at.solve(spec, at.StepSizePlan.fixed(gamma), init=None,
                         rule=capped, columns=False).iterations_to_tol
     return count

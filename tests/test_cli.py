@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ def test_run_writes_csv_and_summary(tmp_path):
     summary = json.loads((out / "qp_desk_seed1_summary.json").read_text())
     assert summary["schema"] == 1 and summary["command"] == "run"
     assert summary["kind"] == "qp" and summary["seed"] == 1
+    assert "theta" not in summary
     (entry,) = summary["runs"]
     assert entry["csv"] == csv_path.name
     assert entry["converged"] is True
@@ -148,8 +151,8 @@ def test_config_values_are_literal(tmp_path):
 
 # a value for every option, none of them its default
 _SAMPLES = {"kind": "lasso", "profile": "paper", "seed": "7", "out": "elsewhere",
-            "plans": "pair:2", "tol": "1e-05", "max_iter": "77", "theta": "0.25",
-            "init": "structure", "update_threshold": "0.125", "freeze_after": "9",
+            "plans": "pair:2", "tol": "1e-05", "max_iter": "77", "init": "structure",
+            "update_threshold": "0.125", "freeze_after": "9",
             "strict": "yes", "gamma_min": "0.01", "gamma_max": "20", "points": "5"}
 _OPTIONS = [(command, key, action) for command, sub in cli._build_parser()[1].items()
             for key, action in cli._config_keys(sub).items()]
@@ -221,6 +224,18 @@ def test_config_unknown_keys_exit_two(tmp_path, capsys):
     assert str(stale) in err and "[grid]" in err and "'jobs'" in err
     assert run_cli(["grid", "--kind", "qp", "--points", "2", "--jobs", "2", "--out", str(out)]) == 2
     assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+    # the solver is the half-averaged map: no flag or key sets a relaxation weight
+    for argv, section in ((["run", "--plan", "fixed"], "run"), (["grid"], "common")):
+        argv = argv + ["--kind", "qp", "--out", str(out)]
+        assert run_cli(argv + ["--theta", "0.4"]) == 2
+        assert "--theta" in capsys.readouterr().err
+        relaxed = tmp_path / "relaxed.ini"
+        relaxed.write_text(f"[{section}]\ntheta = 0.4\n")
+        assert run_cli(argv + ["--config", str(relaxed)]) == 2
+        err = capsys.readouterr().err
+        assert str(relaxed) in err and f"[{section}]" in err and "'theta'" in err
     assert not out.exists()
 
     # a [common] key is valid when any subcommand takes it, and a key of one
@@ -331,6 +346,7 @@ def test_grid_records_a_failing_point_and_goes_on(tmp_path, capsys):
         "gamma,iterations_to_tol,converged", "1.0,,false", "1e+150,,false", "1e+300,,false"]
     payload = json.loads((out / "tv_desk_seed0_grid.json").read_text())
     assert payload["converged_points"] == 0 and payload["best_iterations"] is None
+    assert payload["best_gamma"] is None and payload["boundary_hit"] is False
     assert run_cli(args + ["--strict"]) == 3
 
     # a step size the plan rejects still stops the sweep before any solve
@@ -357,6 +373,29 @@ def test_grid_strict(tmp_path):
             "--points", "2", "--max-iter", "5", "--out", str(tmp_path / "gs")]
     assert run_cli(args) == 0
     assert run_cli(args + ["--strict"]) == 3
+
+
+def test_grid_without_a_converged_point_reports_no_best(tmp_path, capsys):
+    out = tmp_path / "none"
+    assert run_cli(["grid", "--kind", "lp", "--points", "3", "--max-iter", "2",
+                    "--out", str(out)]) == 0
+    payload = json.loads((out / "lp_desk_seed0_grid.json").read_text())
+    assert payload["converged_points"] == 0
+    assert payload["best_gamma"] is None and payload["best_iterations"] is None
+    assert payload["boundary_hit"] is False
+    assert "theta" not in payload
+    assert capsys.readouterr().out == ("lp_desk_seed0 grid: best_gamma=none iterations=none "
+                                       "boundary_hit=False csv=lp_desk_seed0_grid.csv\n")
+
+
+def test_atomic_write_removes_its_temp_file_when_the_write_fails(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        cli._atomic_write(str(tmp_path / "table.csv"), "k\n")
+    assert not list(tmp_path.iterdir())
 
 
 def test_contradiction_report(tmp_path, capsys):
@@ -450,16 +489,12 @@ def test_run_shares_the_unit_fixed_sweeps_with_the_reference_run(tmp_path, monke
         assert run_cli(argv) == 0
         # the 88 fixed sweeps also open the 148-sweep reference run
         assert len(calls) == 174 == _summary_sweeps(out) + reference - 88
-    # another theta or a structured start shares nothing
-    counts = {}
-    for flag, value in (("--theta", "0.4"), ("--init", "structure")):
-        out = tmp_path / value
-        del calls[:]
-        assert run_cli(["run", "--kind", "qp", "--plan", "fixed", "--plan", "oracle",
-                        flag, value, "--out", str(out)]) == 0
-        assert len(calls) == _summary_sweeps(out) + reference
-        counts[flag] = len(calls)
-    assert counts["--theta"] == 292
+    # a structured start shares nothing
+    out = tmp_path / "structure"
+    del calls[:]
+    assert run_cli(["run", "--kind", "qp", "--plan", "fixed", "--plan", "oracle",
+                    "--init", "structure", "--out", str(out)]) == 0
+    assert len(calls) == _summary_sweeps(out) + reference
 
 
 def test_shared_run_writes_the_bytes_of_separate_runs(tmp_path):
@@ -470,3 +505,13 @@ def test_shared_run_writes_the_bytes_of_separate_runs(tmp_path):
         assert run_cli(["run", "--kind", "qp", "--plan", plan, "--out", str(apart)]) == 0
     for name in ("qp_desk_seed0_fixed-1.csv", "qp_desk_seed0_oracle.csv"):
         assert (together / name).read_bytes() == (apart / name).read_bytes(), name
+
+
+def test_readme_command_line_section_names_every_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    parser, subparsers = cli._build_parser()
+    flags = {option for p in (parser, *subparsers.values()) for action in p._actions
+             for option in action.option_strings if option.startswith("--")}
+    # every flag is named, and every flag named is one the parser takes
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*[a-z]", section)) == flags

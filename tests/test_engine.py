@@ -152,16 +152,12 @@ def test_drs_step_validation():
         drs_step(np.zeros(6), spec, 1e-320)
     assert np.all(np.isfinite(drs_step(np.zeros(6), spec, 1e-300)))
     with pytest.raises(ValueError):
-        drs_step(np.zeros(6), spec, 1.0, theta=1.0)
-    with pytest.raises(ValueError):
         drs_step(np.zeros(5), spec, 1.0)
 
 
 def test_termination_rule_validation():
     with pytest.raises(ValueError):
         TerminationRule(tol=0.0)
-    with pytest.raises(ValueError):
-        TerminationRule(theta=0.0)
     with pytest.raises(ValueError):
         TerminationRule(max_iter=-1)
     with pytest.raises(ValueError):
@@ -306,8 +302,13 @@ def test_contradiction_needs_the_solution_pair_at_the_constraint_length():
 
 def test_closed_form_step_that_rounds_to_zero_is_rejected_by_the_plan():
     e1 = np.eye(6)[0]
-    # a = 1e300, b = -1, d = e = 1e-300: the quartic's root squares to 0.0
-    gamma = at.gamma_general(1e150 * e1, 1e-150 * e1, 1e-150 * e1)
+    # a = 1e300, b = -1, d = 1e-300, e = -1e-300: the true root is about
+    # 1e-150, which neither the radical nor the companion route reaches; the
+    # roots they return fail the term-size check, so the solve raises
+    with pytest.raises(ArithmeticError, match="no positive real root"):
+        at.gamma_general(1e150 * e1, 1e-150 * e1, 1e-150 * e1)
+    # a = 1e300, e = -1e-320: the zero-start root (-e/a)**0.25 underflows to 0.0
+    gamma = at.gamma_general(1e150 * e1, 1e-160 * e1)
     assert gamma == 0.0
     with pytest.raises(ValueError, match="gamma0 must be positive and finite"):
         StepSizePlan.fixed(gamma)

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,11 @@ def test_objective_is_finite_at_oracle(desk, oracle):
     for kind in KINDS:
         inst, o = desk(kind), oracle(kind)
         assert np.isfinite(inst.spec.objective(o.x, o.z)), kind
+    # off the positive definite cone the covariance-selection objective is inf
+    inst, o = desk("sics"), oracle("sics")
+    n = math.isqrt(inst.spec.n)
+    for X in (np.zeros((n, n)), np.diag([-1.0] + [1.0] * (n - 1))):
+        assert inst.spec.objective(X.ravel(), o.z) == math.inf
     # for the regularized regression the zero start is feasible, so the
     # solver must not end above it
     inst, o = desk("lasso"), oracle("lasso")

@@ -395,16 +395,18 @@ def test_smooth_entry_stationarity():
             resid = np.max(np.abs(x - v + g * grad))
             assert resid <= 1e-14 * (1.0 + 4.0 * g) * max(1.0, np.max(np.abs(v))), (n, g, resid)
 
-    S = EXTRAS["S"]
-    ld = HANDLES["logdet_quad"]
-    v = rng.normal(size=16)
-    X = ld(v, gamma).reshape(4, 4)
-    w = np.linalg.eigvalsh(X)
-    assert w.min() > 0.0
-    Vs = v.reshape(4, 4)
-    Vs = 0.5 * (Vs + Vs.T)
-    resid = X - Vs + gamma * (S - np.linalg.inv(X))
-    assert np.max(np.abs(resid)) <= 1e-9 * max(1.0, np.max(np.abs(Vs)))
+    # without S the linear term is zero
+    for S, ld in ((EXTRAS["S"], HANDLES["logdet_quad"]),
+                  (np.zeros((3, 3)), catalog_prox("logdet_quad", n=3))):
+        n = S.shape[0]
+        v = rng.normal(size=n * n)
+        X = ld(v, gamma).reshape(n, n)
+        w = np.linalg.eigvalsh(X)
+        assert w.min() > 0.0
+        Vs = v.reshape(n, n)
+        Vs = 0.5 * (Vs + Vs.T)
+        resid = X - Vs + gamma * (S - np.linalg.inv(X))
+        assert np.max(np.abs(resid)) <= 1e-9 * max(1.0, np.max(np.abs(Vs))), n
 
 
 def test_finite_difference_optimality_certificate():

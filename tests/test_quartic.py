@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from admmtune import (
@@ -144,14 +144,16 @@ def dense_bisection_roots(c, points=4000):
     return roots
 
 
-# a mantissa in [1, 10) times 10**k: each coefficient spans seven decades
+# a mantissa in [1, 10) times 10**k: each coefficient spans thirteen decades
 _MAGNITUDE = st.builds(lambda m, k: m * 10.0 ** k,
-                       st.floats(1.0, 10.0, exclude_max=True), st.integers(-3, 3))
+                       st.floats(1.0, 10.0, exclude_max=True), st.integers(-6, 6))
 _SIGN = st.sampled_from([-1.0, 0.0, 1.0])
 
 
 @settings(max_examples=300, deadline=None)
 @given(a=_MAGNITUDE, b=_MAGNITUDE, d=_MAGNITUDE, e=_MAGNITUDE, sign_b=_SIGN, sign_d=_SIGN)
+# a root near 1e-9 whose terms are ~2e-3 against coefficients up to ~1.6e6
+@example(a=1e-4, b=1575281.4262307093, d=1e6, e=1e-3, sign_b=1.0, sign_d=1.0)
 def test_root_is_valid_and_minimizes_the_objective(a, b, d, e, sign_b, sign_d):
     c = QuarticCoefficients(a=a, b=sign_b * b, d=sign_d * d, e=-e)
     alpha = solve_quartic(c)
@@ -177,4 +179,8 @@ def test_roots_far_from_one_pass_validation():
     # Ferrari's formulas lose the root ~5.7e-7 to cancellation
     c = QuarticCoefficients(a=0.007498315065860046, b=-5572.346662636607,
                             d=8647.316038442246, e=-0.004902964699748021)
-    assert solve_quartic(c) == pytest.approx(5.669926573693578e-07, rel=1e-8)
+    assert solve_quartic(c) == pytest.approx(5.669926573693578e-07, rel=1e-8, abs=0.0)
+    # roots ~5.7e-11, ~1.3 and ~5.7e9: the smallest minimizes the objective,
+    # and p there cancels terms of size ~2e-5 against coefficients up to 1.75e5
+    c = QuarticCoefficients(a=1.75e-5, b=-1e5, d=1.75e5, e=-1e-5)
+    assert solve_quartic(c) == pytest.approx(1e-5 / 1.75e5, rel=1e-12, abs=0.0)

@@ -91,6 +91,14 @@ _ONES = np.ones(3)
 @pytest.mark.parametrize("build, message", [
     pytest.param(lambda: OptimalPair(beta=2.0, zeta0=_ONES, gamma=np.nan),
                  "gamma must be positive and finite", id="nan-gamma"),
+    pytest.param(lambda: OptimalPair(beta=0.0, zeta0=_ONES, gamma=1.0),
+                 "beta must be positive and finite", id="zero-beta"),
+    pytest.param(lambda: asymptotic_pair("primal", _ONES, 0.0),
+                 "beta must be positive and finite", id="asymptotic-zero-beta"),
+    pytest.param(lambda: asymptotic_pair("dual", _ONES, -1.0),
+                 "beta must be positive and finite", id="asymptotic-negative-beta"),
+    pytest.param(lambda: asymptotic_pair("primal", _ONES, np.nan),
+                 "beta must be positive and finite", id="asymptotic-nan-beta"),
     pytest.param(lambda: optimal_pair(_ONES, _ONES, 1e200),
                  "gamma must be positive and finite", id="gamma-overflows"),
     pytest.param(lambda: optimal_pair(_ONES, _ONES, 1e-200),
