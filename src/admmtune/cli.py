@@ -33,7 +33,9 @@ formatting, so identical configurations yield byte-identical files.  JSON
 summaries carry ``"schema": 1`` and the wall times.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 when ``--strict``
-is set and some run failed to converge.
+is set and some run failed to converge, 4 when a solve fails numerically (a
+non-finite iterate, a stalled reference run, or a quartic whose every root
+is refused), with one ``admmtune: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -451,6 +453,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as err:
         print(f"{_PROG}: {err}", file=sys.stderr)
         return 2
+    except ArithmeticError as err:
+        print(f"{_PROG}: {err}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import ProblemSpec, TerminationRule, solve
+from .engine import ProblemSpec, TerminationRule, drs_step, solve
 from .prox import _check_full_rank, _shifted_solver, _wide_gram_solver, catalog_prox
 from . import tuner
 
@@ -78,7 +78,12 @@ _DEFAULT_PARAMS = {
 
 @dataclass(frozen=True)
 class OracleSolution:
-    """High-accuracy solution pair from a reference run."""
+    """High-accuracy solution pair from a reference run.
+
+    ``residue`` is the run's last residue, or for a polished pair the
+    distance one unit-step sweep moves ``ax + lam``; ``iterations`` counts
+    the unit-step sweeps the pair rests on, a prefix's included.
+    """
 
     x: np.ndarray
     z: np.ndarray
@@ -176,6 +181,29 @@ def _spec_lp(dims, data, params):
 def _start_lp(data, spec):
     A = data["A"]
     return A.T @ np.linalg.solve(A @ A.T, data["b"])
+
+
+def _polish_lp(data, params, z):
+    """The vertex on the support S = {z > 0}, or None where no vertex fits.
+
+    Solves ``A_S x_S = b`` and ``A_S^T nu = -cost_S``; the multiplier of the
+    orthant is ``-cost - A^T nu`` with its S entries zero.  The pair stands
+    only with ``x_S > 0`` and a nonpositive multiplier off S.
+    """
+    A, b, cost = data["A"], data["b"], data["cost"]
+    S = z > 0.0
+    if np.count_nonzero(S) > b.size:
+        return None
+    A_S = A[:, S]
+    x_S = np.linalg.lstsq(A_S, b, rcond=None)[0]
+    nu = np.linalg.lstsq(A_S.T, -cost[S], rcond=None)[0]
+    lam = -cost - A.T @ nu
+    lam[S] = 0.0
+    if not (np.all(x_S > 0.0) and np.all(lam <= 0.0)):
+        return None
+    x = np.zeros(cost.size)
+    x[S] = x_S
+    return x, x, lam, x
 
 
 def _draw_qp(rng, dims, params):
@@ -376,6 +404,28 @@ def _spec_tv(dims, data, params):
                        A=F, c=np.zeros(n - 1), rank_check=False)
 
 
+def _polish_tv(data, params, z):
+    """The pair on the jump set J = {z != 0} with the signs of z, or None.
+
+    The multiplier is ``alpha sign(z)`` on J; on the complement C it solves
+    ``(F_C F_C^T) lam_C = F_C (b - F_J^T lam_J)``, so that ``x = b - F^T lam``
+    has no jump on C.  The pair stands only with ``|lam_C| <= alpha`` and
+    ``F x`` keeping the signs of z on J.
+    """
+    b, alpha = data["b"], float(params["alpha"])
+    F = _difference_matrix(b.size)
+    J = z != 0.0
+    C = ~J
+    lam = np.where(J, alpha * np.sign(z), 0.0)
+    F_C = F[C]
+    lam[C] = np.linalg.solve(F_C @ F_C.T, F_C @ (b - F.T @ lam))
+    x = b - F.T @ lam
+    ax = F @ x
+    if not (np.all(np.abs(lam[C]) <= alpha) and np.array_equal(np.sign(ax[J]), np.sign(z[J]))):
+        return None
+    return x, np.where(J, ax, 0.0), lam, ax
+
+
 def _draw_sics(rng, dims, params):
     n, samples = dims["n"], dims["samples"]
     D = rng.standard_normal((samples, n))
@@ -402,17 +452,17 @@ def _zero_start(data, spec):
     return np.zeros(spec.p)
 
 
-# per family: the data draw, the spec build that reads only its output, and
-# the structure start
+# per family: the data draw, the spec build that reads only its output, the
+# structure start, and the reference run's polish (None: the run goes to tol)
 _FAMILIES = {
-    "lp": (_draw_lp, _spec_lp, _start_lp),
-    "qp": (_draw_qp, _spec_qp, _start_qp),
-    "lad": (_draw_lad, _spec_lad, _zero_start),
-    "huber": (_draw_huber, _spec_huber, _zero_start),
-    "bp": (_draw_bp, _spec_bp, _zero_start),
-    "lasso": (_draw_lasso, _spec_lasso, _zero_start),
-    "tv": (_draw_tv, _spec_tv, _zero_start),
-    "sics": (_draw_sics, _spec_sics, _zero_start),
+    "lp": (_draw_lp, _spec_lp, _start_lp, _polish_lp),
+    "qp": (_draw_qp, _spec_qp, _start_qp, None),
+    "lad": (_draw_lad, _spec_lad, _zero_start, None),
+    "huber": (_draw_huber, _spec_huber, _zero_start, None),
+    "bp": (_draw_bp, _spec_bp, _zero_start, None),
+    "lasso": (_draw_lasso, _spec_lasso, _zero_start, None),
+    "tv": (_draw_tv, _spec_tv, _zero_start, _polish_tv),
+    "sics": (_draw_sics, _spec_sics, _zero_start, None),
 }
 
 
@@ -485,6 +535,8 @@ def generate_data(kind: str, dims: dict = None, seed: int = 0, params: dict = No
 
 # the reference run behind every oracle pair
 _ORACLE_RULE = TerminationRule(tol=1e-10, max_iter=200_000)
+# the residues at which a family with a polish tries it on the run's iterate
+_POLISH_RUNGS = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9)
 
 
 def compute_oracle(instance: ProblemInstance, *, prefix=None) -> OracleSolution:
@@ -497,6 +549,18 @@ def compute_oracle(instance: ProblemInstance, *, prefix=None) -> OracleSolution:
     sweeps raises ArithmeticError.  A cached pair is returned as it is; set
     ``instance.oracle = None`` to recompute it.
 
+    lp and tv polish the run (the solution polishing of OSQP, Stellato et
+    al. 2020).  Their run stops at each residue of a ladder 1e-3, 1e-4, ...,
+    1e-9 and guesses the active set from its iterate: lp the support of z,
+    tv its jump set and signs.  One linear solve on that set gives a pair,
+    which is accepted if it keeps the family's sign conditions and passes
+    the fixed-point test: one sweep at unit step size from
+    ``zeta = A x* + lam*`` moves it by at most ``tol``.  An accepted pair
+    carries that distance as ``residue`` and, as ``iterations``, the sweeps
+    of the run it was guessed from.  Otherwise the run resumes from its
+    ``zeta_unscaled`` to the next rung, so a pair never accepted leaves the
+    run to ``tol`` as it is for every other family, bit for bit.
+
     ``prefix`` (keyword-only) is a record of the start of that same run:
     ``solve(instance.spec, StepSizePlan.fixed(1.0), init=None, rule)`` at
     any tol and max_iter.  That it ran on this instance is the caller's
@@ -506,8 +570,12 @@ def compute_oracle(instance: ProblemInstance, *, prefix=None) -> OracleSolution:
     took at most ``max_iter`` sweeps, the run resumes from its
     ``zeta_unscaled`` (at unit step size, the loop's scaled iterate itself),
     or ends on its own iterates when its last row meets ``tol``; otherwise
-    it starts from scratch.  The result, sweep count included, is
-    bit-identical to a run from scratch, and neither record is changed.
+    it starts from scratch.  Neither record is changed.  Without a polish,
+    the result, sweep count included, is bit-identical to a run from
+    scratch.  With one, the polish is first tried on the prefix's last
+    iterate once that is below a rung, so the arrays equal the scratch
+    result whenever both guess the same active set; the sweep counts may
+    differ.
 
     Where the optimal multiplier is not unique (lad and bp), the pair is the
     one this run ends at, and the oracle step sizes derived from it belong
@@ -526,26 +594,45 @@ def compute_oracle(instance: ProblemInstance, *, prefix=None) -> OracleSolution:
                              f"{instance.spec.p}, got {np.size(prefix.zeta_unscaled)}")
     if instance.oracle is not None:
         return instance.oracle
-    # rec holds the final iterates; the first `done` sweeps come from the prefix
-    rec, done = None, 0
-    if prefix is not None and prefix.iterations <= max_iter:
-        k = prefix.first_k_below(tol)
-        if k is None:
-            done = prefix.iterations
-        elif k == prefix.iterations:
-            rec = prefix
-    if rec is None:
-        rec = solve(instance.spec, unit, init=prefix.zeta_unscaled if done else None,
-                    rule=TerminationRule(tol=tol, max_iter=max_iter - done), columns=False)
-    iterations = done + rec.iterations
-    last = rec.rows[-1] if rec.rows else (prefix.rows[-1] if done else None)
-    residue = math.nan if last is None else last[2]
-    if not residue <= tol:
-        raise ArithmeticError(
-            f"reference run for kind {instance.kind!r} stalled at residue "
-            f"{residue:.3e} after {iterations} sweeps"
-        )
-    oracle = OracleSolution(x=rec.x, z=rec.z, lam=rec.lam, ax=rec.ax,
-                            residue=residue, iterations=iterations)
+    polish = _FAMILIES[instance.kind][3]
+    # rec holds the newest iterates, `done` sweeps into the run at `residue`
+    rec, done, residue = None, 0, math.nan
+    if prefix is not None and prefix.rows and prefix.iterations <= max_iter:
+        if prefix.first_k_below(tol) in (None, prefix.iterations):
+            rec, done, residue = prefix, prefix.iterations, prefix.rows[-1][2]
+    # a rung the iterate already meets runs no sweep and tries no new polish
+    tried = None
+    for rung in (_POLISH_RUNGS if polish is not None else ()) + (tol,):
+        if not residue <= rung and done < max_iter:
+            rec = solve(instance.spec, unit, init=None if rec is None else rec.zeta_unscaled,
+                        rule=TerminationRule(tol=rung, max_iter=max_iter - done), columns=False)
+            done += rec.iterations
+            residue = rec.rows[-1][2]
+        if not residue <= rung:
+            raise ArithmeticError(
+                f"reference run for kind {instance.kind!r} stalled at residue "
+                f"{residue:.3e} after {done} sweeps"
+            )
+        if rung > tol and rec is not tried:
+            tried = rec
+            oracle = _polished(instance.spec, polish(instance.data, instance.params, rec.z), tol, done)
+            if oracle is not None:
+                break
+    else:
+        oracle = OracleSolution(x=rec.x, z=rec.z, lam=rec.lam, ax=rec.ax,
+                                residue=residue, iterations=done)
     instance.oracle = oracle
     return oracle
+
+
+def _polished(spec, pair, tol, iterations):
+    """The polish's ``(x, z, lam, ax)`` as an oracle pair if its fixed-point test passes, else None."""
+    if pair is None:
+        return None
+    x, z, lam, ax = pair
+    zeta = ax + lam
+    step = drs_step(zeta, spec, 1.0) - zeta
+    residue = math.sqrt(step.dot(step))
+    if not residue <= tol:
+        return None
+    return OracleSolution(x=x, z=z, lam=lam, ax=ax, residue=residue, iterations=iterations)

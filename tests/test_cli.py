@@ -1,11 +1,17 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from admmtune import KINDS, cli, compute_oracle, generate, problems, prox, tuner
+from admmtune import (KINDS, TerminationRule, cli, compute_oracle, engine, generate, problems,
+                      prox, tuner)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(argv):
@@ -303,6 +309,37 @@ def test_strict_flag_turns_nonconvergence_into_exit_three(tmp_path):
     summary = json.loads((tmp_path / "strict" / "lasso_desk_seed0_summary.json").read_text())
     assert summary["runs"][0]["converged"] is False
     assert summary["runs"][0]["iterations_to_tol"] is None
+
+
+def _refuse_every_root(coefficients):
+    raise ArithmeticError("no positive real root passed validation")
+
+
+def test_numerical_failures_exit_four(tmp_path, capsys, monkeypatch):
+    out = str(tmp_path / "failed")
+    # tv's iterates overflow at gamma = 1e300
+    assert run_cli(["run", "--kind", "tv", "--plan", "fixed:1e300", "--out", out]) == 4
+    assert capsys.readouterr().err == "admmtune: non-finite iterate at sweep 3\n"
+    # a reference run with no sweep to spend stalls, under run and contradiction
+    with monkeypatch.context() as patch:
+        patch.setattr(problems, "_ORACLE_RULE", TerminationRule(tol=1e-10, max_iter=0))
+        for argv in (["run", "--kind", "qp", "--plan", "oracle"], ["contradiction", "--kind", "qp"]):
+            assert run_cli(argv + ["--out", out]) == 4
+            assert capsys.readouterr().err == ("admmtune: reference run for kind 'qp' stalled "
+                                               "at residue nan after 0 sweeps\n")
+    monkeypatch.setattr(engine, "solve_quartic", _refuse_every_root)
+    assert run_cli(["contradiction", "--kind", "qp", "--out", out]) == 4
+    assert capsys.readouterr().err == "admmtune: no positive real root passed validation\n"
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_numerical_failure_exits_four_without_a_traceback(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "admmtune.cli", "run", "--kind", "tv",
+                           "--plan", "fixed:1e300", "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (4, "admmtune: non-finite iterate at sweep 3\n")
 
 
 @pytest.mark.parametrize("value, code", [("off", 0), ("on", 3)])

@@ -229,6 +229,19 @@ def test_frozen_estimate_forms_lam_each_sweep_and_matches_fixed(desk, kind):
         assert np.array_equal(getattr(frozen, name), getattr(fixed, name)), name
 
 
+def test_explicit_minus_identity_b_sweeps_as_the_default(desk):
+    # B = None is minus the identity; spelled out, the sweep takes its
+    # explicit-B branch and must land on the same bits
+    spec = desk("qp").spec
+    explicit = ProblemSpec(spec.prox_f, spec.prox_g, spec.objective, B=-np.eye(spec.p))
+    assert explicit.B is not None and spec.B is None
+    for plan in (StepSizePlan.fixed(1.0), StepSizePlan.estimated()):
+        want, got = solve(spec, plan), solve(explicit, plan)
+        assert got.rows == want.rows
+        for name in ("x", "z", "lam", "ax", "zeta_unscaled"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 def test_infinite_tolerance_returns_before_any_sweep():
     spec = small_spec()
     rec = solve(spec, StepSizePlan.fixed(1.0), rule=TerminationRule(tol=np.inf))

@@ -234,16 +234,39 @@ def test_objective_is_finite_at_oracle(desk, oracle):
     assert inst.spec.objective(o.x, o.z) <= start + 1e-9
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_reference_run_keeps_every_bit_without_its_columns(desk, kind):
-    inst = desk(kind)
-    got = compute_oracle(inst)
+# the families whose reference run ends in one linear solve on a guessed active set
+POLISHED = ("lp", "tv")
+
+
+def _run_to_reference_tol(inst):
+    """The unit fixed run from the zero start to 1e-10, as an oracle pair."""
     rec = at.solve(inst.spec, StepSizePlan.fixed(1.0),
                    rule=TerminationRule(tol=1e-10, max_iter=200_000))
-    for name in ("x", "z", "lam", "ax"):
-        assert np.array_equal(getattr(got, name), getattr(rec, name)), name
-    assert got.residue == rec.rows[-1][2]
-    assert got.iterations == rec.iterations
+    return at.OracleSolution(x=rec.x, z=rec.z, lam=rec.lam, ax=rec.ax,
+                             residue=rec.rows[-1][2], iterations=rec.iterations)
+
+
+def _reject_polish(monkeypatch, kind):
+    """Make ``kind``'s polish reject every iterate."""
+    draw, spec, start, _ = at.problems._FAMILIES[kind]
+    monkeypatch.setitem(at.problems._FAMILIES, kind,
+                        (draw, spec, start, lambda data, params, z: None))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_reference_run_keeps_every_bit_without_its_columns(desk, kind, monkeypatch):
+    want = _run_to_reference_tol(desk(kind))
+    got = compute_oracle(desk(kind))
+    if kind in POLISHED:
+        # the polished pair is the run's to its tolerance, from far fewer sweeps
+        for name in ("x", "z", "lam", "ax"):
+            ref = getattr(want, name)
+            assert np.linalg.norm(getattr(got, name) - ref) <= 1e-9 * np.linalg.norm(ref), name
+        assert got.residue <= 1e-10 and got.iterations < want.iterations
+        # a polish that rejects every iterate leaves the run as it was
+        _reject_polish(monkeypatch, kind)
+        got = compute_oracle(generate(kind, profile="desk", seed=ACCEPT_SEEDS[kind]))
+    _assert_same_oracle(got, want)
 
 
 def _count_x_steps(spec):
@@ -267,13 +290,27 @@ def _assert_same_oracle(got, want):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_reference_run_resumes_from_a_unit_fixed_prefix(oracle, kind):
+def test_reference_run_resumes_from_a_unit_fixed_prefix(oracle, kind, monkeypatch):
     fresh = generate(kind, profile="desk", seed=ACCEPT_SEEDS[kind])
     prefix = at.solve(fresh.spec, StepSizePlan.fixed(1.0), init=None, rule=TerminationRule())
     rows, zeta = list(prefix.rows), prefix.zeta_unscaled.copy()
+    want = oracle(kind)
+    if kind in POLISHED:
+        # the polish guesses the scratch run's active set from the prefix's
+        # last iterate; only its fixed-point test sweeps
+        calls = _count_x_steps(fresh.spec)
+        got = compute_oracle(fresh, prefix=prefix)
+        for name in ("x", "z", "lam", "ax"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.residue == want.residue
+        assert got.iterations == prefix.iterations and len(calls) == 1
+        # a polish that rejects every iterate resumes the run as it was
+        _reject_polish(monkeypatch, kind)
+        fresh = generate(kind, profile="desk", seed=ACCEPT_SEEDS[kind])
+        want = _run_to_reference_tol(fresh)
     calls = _count_x_steps(fresh.spec)
     got = compute_oracle(fresh, prefix=prefix)
-    _assert_same_oracle(got, oracle(kind))
+    _assert_same_oracle(got, want)
     # only the sweeps past the prefix ran, and the prefix is left as it was
     assert len(calls) == got.iterations - prefix.iterations > 0
     assert prefix.rows == rows and np.array_equal(prefix.zeta_unscaled, zeta)
@@ -341,6 +378,15 @@ def test_zero_start_step_belongs_to_the_returned_pair(desk, oracle):
             assert gap > 5e-3, (kind, gap)
         else:
             assert gap < 1e-8, (kind, gap)
+
+
+def test_paper_lp_oracle_is_a_fixed_point():
+    # the paper lp's run to 1e-10 stalls at seeds 0 and 2; the polish does not
+    for seed in range(3):
+        inst = generate("lp", profile="paper", seed=seed)
+        o = compute_oracle(inst)
+        zeta = o.ax + o.lam
+        assert np.linalg.norm(at.drs_step(zeta, inst.spec, 1.0) - zeta) <= 1e-10, seed
 
 
 def test_oracle_is_cached_and_refreshable(desk):
