@@ -35,7 +35,11 @@ summaries carry ``"schema": 1`` and the wall times.
 Exit codes: 0 success, 2 configuration or usage error, 3 when ``--strict``
 is set and some run failed to converge, 4 when a solve fails numerically (a
 non-finite iterate, a stalled reference run, or a quartic whose every root
-is refused), with one ``admmtune: ...`` line on stderr.
+is refused), with one ``admmtune: ...`` line on stderr.  When the reader of
+stdout closes early, as ``| head -1`` does, the exit code is 141 (128 +
+SIGPIPE, what a shell reports for a writer that a closed pipe ends): the
+command stops at the first write that finds the pipe closed, so the files it
+would write after that are missing, and it prints no traceback.
 """
 
 from __future__ import annotations
@@ -444,7 +448,7 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+def _dispatch(argv):
     try:
         args = _parse_args(argv)
         return _COMMANDS[args.command](args)
@@ -456,6 +460,22 @@ def main(argv=None) -> int:
     except ArithmeticError as err:
         print(f"{_PROG}: {err}", file=sys.stderr)
         return 4
+
+
+def main(argv=None) -> int:
+    try:
+        code = _dispatch(argv)
+        # flushed here, a reader that closed early is caught below, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the Python docs' SIGPIPE recipe: what stdout still buffers goes to
+        # devnull, so that the flush at interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        # 128 + SIGPIPE, the status a shell reports for a writer a closed pipe ends
+        return 141
 
 
 if __name__ == "__main__":

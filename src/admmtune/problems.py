@@ -18,6 +18,11 @@ and huber, whose f is zero under a data matrix A, take ``x = A^+ w``.  Two
 x-steps are written here instead: the wide lasso's, whose image under A the
 objective reads, and tv's, whose constraint map is not the identity.
 
+:func:`compute_oracle` gives each instance its reference pair (A x*, lam*)
+from the unit-step run.  lp, lasso and tv polish that run with one linear
+solve on the active set guessed from its iterate: lp's support of z,
+lasso's support and signs of z, tv's jump set and signs.
+
 Families
 --------
 lp      linear program over the nonnegative orthant, equality constrained
@@ -360,6 +365,32 @@ def _spec_lasso(dims, data, params):
     return ProblemSpec(prox_f, _z_step(catalog_prox("l1", dim=n, weight=alpha)), objective, p=n)
 
 
+def _polish_lasso(data, params, z):
+    """The pair on the support S = {z != 0} with the signs of z, or None.
+
+    Solves ``A_S^T A_S x_S = A_S^T b - alpha sign(z_S)``; the multiplier is
+    ``A^T (b - A_S x_S)``, which is ``alpha sign(z_S)`` on S.  The pair stands
+    only with a nonsingular ``A_S^T A_S`` (so |S| <= m), x_S keeping the
+    signs of z and ``|lam| <= alpha`` off S.
+    """
+    A, b, alpha = data["A"], data["b"], float(params["alpha"])
+    S = z != 0.0
+    if np.count_nonzero(S) > b.size:
+        return None
+    A_S = A[:, S]
+    signs = np.sign(z[S])
+    try:
+        x_S = np.linalg.solve(A_S.T @ A_S, A_S.T @ b - alpha * signs)
+    except np.linalg.LinAlgError:
+        return None
+    lam = A.T @ (b - A_S @ x_S)
+    if not (np.array_equal(np.sign(x_S), signs) and np.all(np.abs(lam[~S]) <= alpha)):
+        return None
+    x = np.zeros(z.size)
+    x[S] = x_S
+    return x, x, lam, x
+
+
 def _difference_matrix(n):
     F = np.zeros((n - 1, n))
     idx = np.arange(n - 1)
@@ -460,7 +491,7 @@ _FAMILIES = {
     "lad": (_draw_lad, _spec_lad, _zero_start, None),
     "huber": (_draw_huber, _spec_huber, _zero_start, None),
     "bp": (_draw_bp, _spec_bp, _zero_start, None),
-    "lasso": (_draw_lasso, _spec_lasso, _zero_start, None),
+    "lasso": (_draw_lasso, _spec_lasso, _zero_start, _polish_lasso),
     "tv": (_draw_tv, _spec_tv, _zero_start, _polish_tv),
     "sics": (_draw_sics, _spec_sics, _zero_start, None),
 }
@@ -549,17 +580,19 @@ def compute_oracle(instance: ProblemInstance, *, prefix=None) -> OracleSolution:
     sweeps raises ArithmeticError.  A cached pair is returned as it is; set
     ``instance.oracle = None`` to recompute it.
 
-    lp and tv polish the run (the solution polishing of OSQP, Stellato et
-    al. 2020).  Their run stops at each residue of a ladder 1e-3, 1e-4, ...,
-    1e-9 and guesses the active set from its iterate: lp the support of z,
-    tv its jump set and signs.  One linear solve on that set gives a pair,
-    which is accepted if it keeps the family's sign conditions and passes
-    the fixed-point test: one sweep at unit step size from
-    ``zeta = A x* + lam*`` moves it by at most ``tol``.  An accepted pair
-    carries that distance as ``residue`` and, as ``iterations``, the sweeps
-    of the run it was guessed from.  Otherwise the run resumes from its
-    ``zeta_unscaled`` to the next rung, so a pair never accepted leaves the
-    run to ``tol`` as it is for every other family, bit for bit.
+    lp, lasso and tv polish the run (the solution polishing of OSQP,
+    Stellato et al. 2020).  Their run stops at each residue of a ladder
+    1e-3, 1e-4, ..., 1e-9 and guesses the active set from its iterate: lp
+    the support of z, lasso the support and signs of z, tv its jump set and
+    signs.  One linear solve on that set gives a pair (lasso: none where
+    ``A_S^T A_S`` is singular), which is accepted if it keeps the family's
+    sign conditions and passes the fixed-point test: one sweep at unit step
+    size from ``zeta = A x* + lam*`` moves it by at most ``tol``.  An
+    accepted pair carries that distance as ``residue`` and, as
+    ``iterations``, the sweeps of the run it was guessed from.  Otherwise
+    the run resumes from its ``zeta_unscaled`` to the next rung, so a pair
+    never accepted leaves the run to ``tol`` as it is for every other
+    family, bit for bit.
 
     ``prefix`` (keyword-only) is a record of the start of that same run:
     ``solve(instance.spec, StepSizePlan.fixed(1.0), init=None, rule)`` at

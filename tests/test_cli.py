@@ -342,6 +342,25 @@ def test_numerical_failure_exits_four_without_a_traceback(tmp_path):
     assert (done.returncode, done.stderr) == (4, "admmtune: non-finite iterate at sweep 3\n")
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_pipe_exits_141_without_a_traceback(tmp_path, unbuffered):
+    # the reader is gone before the first write: unbuffered, that write
+    # raises; buffered, the flush at the end of main does
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "admmtune.cli", "generate", "--kind", "qp",
+                               "--out", str(tmp_path)],
+                              env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")
+    assert (tmp_path / "qp_desk_seed0_instance.json").is_file()
+
+
 @pytest.mark.parametrize("value, code", [("off", 0), ("on", 3)])
 def test_config_strict_turns_nonconvergence_into_exit_three(tmp_path, value, code):
     config = tmp_path / "strict.ini"

@@ -1,5 +1,5 @@
-"""The package's public names, and its import path: the package, the whole
-zoo and every catalog entry run on numpy alone.
+"""The package's public names, README's quick start, and its import path:
+the package, the whole zoo and every catalog entry run on numpy alone.
 
 The import-path program runs in a fresh interpreter with
 ``sys.modules["scipy"] = None``, so any import of scipy or of one of its
@@ -81,3 +81,24 @@ def test_readme_modules_section_names_every_public_name():
     missing = [name for name in admmtune.__all__
                if not name.startswith("__") and f"`{name}`" not in section]
     assert not missing
+
+
+def _shows(want, got):
+    """Whether the word ``got`` reads as ``want``; "0.5019..." is ``got`` rounded to 4 decimals."""
+    if not want.endswith("..."):
+        return got == want
+    shown = want[:-3]
+    return round(float(got), len(shown.rpartition(".")[2])) == float(shown)
+
+
+def test_readme_quick_start_prints_what_its_comments_say(capsys):
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    # each print line ends in a comment with the line it prints
+    promised = [line.rsplit("#", 1)[1].split() for line in block.splitlines()
+                if line.startswith("print(")]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert len(printed) == len(promised) == 3
+    for got, want in zip(printed, promised):
+        assert len(got) == len(want) and all(map(_shows, want, got)), (got, want)

@@ -235,7 +235,7 @@ def test_objective_is_finite_at_oracle(desk, oracle):
 
 
 # the families whose reference run ends in one linear solve on a guessed active set
-POLISHED = ("lp", "tv")
+POLISHED = ("lp", "lasso", "tv")
 
 
 def _run_to_reference_tol(inst):
@@ -387,6 +387,77 @@ def test_paper_lp_oracle_is_a_fixed_point():
         o = compute_oracle(inst)
         zeta = o.ax + o.lam
         assert np.linalg.norm(at.drs_step(zeta, inst.spec, 1.0) - zeta) <= 1e-10, seed
+
+
+@pytest.mark.parametrize("kind", [kind for kind in KINDS if kind != "lp"])
+def test_paper_oracle_is_a_fixed_point(kind):
+    inst = generate(kind, profile="paper", seed=0)
+    o = compute_oracle(inst)
+    assert o.residue <= 1e-10
+    zeta = o.ax + o.lam
+    assert np.linalg.norm(at.drs_step(zeta, inst.spec, 1.0) - zeta) <= 1e-10
+
+
+def test_lasso_polish_of_an_empty_support():
+    # at alpha = ||A^T b||_inf the solution is zero, and its multiplier A^T b
+    inst = generate("lasso", profile="desk", seed=ACCEPT_SEEDS["lasso"])
+    A, b = inst.data["A"], inst.data["b"]
+    alpha = float(np.abs(A.T @ b).max())
+    for scale in (1.0, 2.0):
+        o = compute_oracle(generate("lasso", profile="desk", seed=ACCEPT_SEEDS["lasso"],
+                                    params={"alpha": scale * alpha}))
+        assert not (np.any(o.x) or np.any(o.z) or np.any(o.ax)), scale
+        assert np.array_equal(o.lam, A.T @ b), scale
+        assert o.residue <= 1e-10
+
+
+def test_lasso_polish_keeps_the_sign_conditions():
+    # with A = I the solution is soft(b, alpha) = (2, 0), and its multiplier b - x = (1, 0.5)
+    data, params = {"A": np.eye(2), "b": np.array([3.0, 0.5])}, {"alpha": 1.0}
+    x, z, lam, ax = at.problems._polish_lasso(data, params, np.array([0.7, 0.0]))
+    assert x.tolist() == z.tolist() == ax.tolist() == [2.0, 0.0]
+    assert lam.tolist() == [1.0, 0.5]
+    # on S = {0, 1} with signs (+, +), x_1 = 0.5 - 1 comes out negative
+    assert at.problems._polish_lasso(data, params, np.array([0.7, 0.1])) is None
+    # on the empty support, the multiplier b = (3, 0.5) exceeds alpha
+    assert at.problems._polish_lasso(data, params, np.zeros(2)) is None
+
+
+def test_tall_lasso_polishes():
+    # m >= n: the x-step is the catalog's tall lstsq, and every support fits
+    dims = {"m": 60, "n": 40}
+    want = _run_to_reference_tol(generate("lasso", dims=dims, seed=0))
+    inst = generate("lasso", dims=dims, seed=0)
+    got = compute_oracle(inst)
+    zeta = got.ax + got.lam
+    assert got.residue <= 1e-10 and got.iterations < want.iterations
+    assert np.linalg.norm(at.drs_step(zeta, inst.spec, 1.0) - zeta) <= 1e-10
+
+
+def _lasso_with_a_repeated_column():
+    """The desk lasso with the column of its first planted entry copied over the next column."""
+    inst = generate("lasso", profile="desk", seed=ACCEPT_SEEDS["lasso"])
+    A = inst.data["A"]
+    i = int(np.flatnonzero(inst.data["x_true"])[0])
+    A[:, i + 1] = A[:, i]
+    inst.spec = at.problems._FAMILIES["lasso"][1](inst.dims, inst.data, inst.params)
+    return inst, i
+
+
+def test_lasso_polish_rejects_a_singular_normal_matrix():
+    inst, i = _lasso_with_a_repeated_column()
+    rec = at.solve(inst.spec, StepSizePlan.fixed(1.0),
+                   rule=TerminationRule(tol=1e-3, max_iter=200_000), columns=False)
+    # both copies of the column carry the same entry, so A_S^T A_S is singular
+    S = rec.z != 0.0
+    assert S[i] and S[i + 1]
+    A_S = inst.data["A"][:, S]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(A_S.T @ A_S, np.ones(A_S.shape[1]))
+    assert at.problems._polish_lasso(inst.data, inst.params, rec.z) is None
+    # so the reference run goes on to its tolerance, bit for bit
+    want = _run_to_reference_tol(_lasso_with_a_repeated_column()[0])
+    _assert_same_oracle(compute_oracle(inst), want)
 
 
 def test_oracle_is_cached_and_refreshable(desk):
