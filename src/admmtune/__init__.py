@@ -7,10 +7,11 @@ The pieces, bottom up:
 - :mod:`admmtune.prox`: proximal operators in the classical and the
   right-scaled parameterization, translations between them, and a catalog
   of standard functions.
-- :mod:`admmtune.engine`: the two-block splitting loop, its averaged
-  fixed-point form, and the single-parameter contradiction report.
+- :mod:`admmtune.engine`: the two-block splitting loop and its averaged
+  fixed-point form.
 - :mod:`admmtune.tuner`: step-size plans (fixed, successively estimated,
-  closed-form optimal) and one-sweep start/step pairs.
+  closed-form optimal), one-sweep start/step pairs, and the
+  single-parameter contradiction report.
 - :mod:`admmtune.problems`: reproducible benchmark instances in desk and
   full size profiles.
 - :mod:`admmtune.cli`: the ``admmtune`` command.

@@ -56,7 +56,7 @@ import tempfile
 import numpy as np
 
 from . import problems, tuner
-from .engine import TerminationRule, contradiction_demo, solve
+from .engine import TerminationRule, solve
 
 __all__ = ["main"]
 
@@ -209,7 +209,7 @@ def _realize_plan(token, name, value, instance, init_vec, args):
         if name == "fixed":
             return tuner.StepSizePlan.fixed(value), init_vec, f"fixed-{value:g}"
         if name == "estimated":
-            plan = tuner.StepSizePlan.estimated(value, args.update_threshold, args.freeze_after)
+            plan = tuner.StepSizePlan.estimated(value, freeze_after=args.freeze_after)
             return plan, init_vec, f"estimated-{value:g}"
         oracle = problems.compute_oracle(instance)
         if name == "oracle":
@@ -351,7 +351,7 @@ def _cmd_contradiction(args):
     _resolve_common(args)
     instance = problems.generate(args.kind, profile=args.profile, seed=args.seed)
     oracle = problems.compute_oracle(instance)
-    report = contradiction_demo(instance.spec, None, ax_star=oracle.ax, lambda_star=oracle.lam)
+    report = tuner.contradiction_demo(oracle.ax, oracle.lam)
     print(report.as_text())
 
     os.makedirs(args.out, exist_ok=True)
@@ -405,9 +405,6 @@ def _build_parser():
     _add_rule(p_run, 1e-6, "exit 3 if any run fails to converge")
     p_run.add_argument("--init", default="zero",
                        help="start vector: zero or structure (default %(default)s)")
-    p_run.add_argument("--update-threshold", type=float, default=0.0,
-                       help="estimated plans: relative change needed to adopt a new gamma "
-                            "(default %(default)s)")
     p_run.add_argument("--freeze-after", type=int,
                        help="estimated plans: stop updating after this many sweeps")
     p_run.set_defaults(config_plans=None)

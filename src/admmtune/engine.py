@@ -26,17 +26,15 @@ from numpy.linalg import svd
 
 from . import tuner as _tuner
 from .prox import _check_full_rank
-from .quartic import _require_finite, solve_quartic
+from .quartic import _require_finite
 
 __all__ = [
     "ProblemSpec",
     "SolverState",
     "TerminationRule",
     "RunRecord",
-    "ContradictionReport",
     "drs_step",
     "solve",
-    "contradiction_demo",
 ]
 
 class ProblemSpec:
@@ -314,93 +312,3 @@ def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
         x=x, z=z, lam=lam, ax=ax, zeta_unscaled=rg * sigma_new,
     )
 
-
-@dataclass(frozen=True)
-class ContradictionReport:
-    """Why no single step size matches both fixed-point families.
-
-    ``gamma_dagger_primal`` makes the primal-view fixed point
-    ``A x* + lam*/gamma`` closest to the starting vector; ``gamma_dagger_dual``
-    does the same for the dual view ``lam* + gamma A x*``.  Unless the optimal
-    pair is anti-parallel these disagree or leave the feasible range, while
-    the quadratic change of variables always admits the positive optimum
-    ``gamma_star = alpha_star**2``.
-    """
-
-    gamma_dagger_primal: float
-    gamma_dagger_dual: float
-    daggers_agree: bool
-    contradiction: bool
-    alpha_star: float
-    gamma_star: float
-    ax_norm: float
-    lam_norm: float
-    inner: float
-    zeta0_norm: float
-
-    def as_text(self) -> str:
-        lines = [
-            "single-parameter matching of the two fixed-point views",
-            f"  ||A x*||            = {self.ax_norm:.12g}",
-            f"  ||lam*||            = {self.lam_norm:.12g}",
-            f"  <A x*, lam*>        = {self.inner:.12g}",
-            f"  ||zeta0||           = {self.zeta0_norm:.12g}",
-            f"  primal-view gamma   = {_fmt_gamma(self.gamma_dagger_primal)}",
-            f"  dual-view gamma     = {_fmt_gamma(self.gamma_dagger_dual)}",
-            f"  views agree         = {self.daggers_agree}",
-            f"  contradiction       = {self.contradiction}",
-            "change of variables (always consistent)",
-            f"  alpha_star          = {self.alpha_star:.12g}",
-            f"  gamma_star          = {self.gamma_star:.12g}  (= alpha_star**2 > 0)",
-        ]
-        return "\n".join(lines)
-
-
-def _fmt_gamma(v):
-    return "undefined (zero denominator)" if v is None else f"{v:.12g}"
-
-
-def contradiction_demo(spec: ProblemSpec, zeta0=None, *, ax_star,
-                       lambda_star) -> ContradictionReport:
-    """Contrast naive single-gamma matching with the quadratic substitution.
-
-    Matching the starting vector directly against either fixed-point family
-    gives two least-squares step sizes that in general disagree or come out
-    nonpositive; the substitution ``gamma = alpha**2`` always yields a valid
-    optimum.  The solution pair ``ax_star``, ``lambda_star`` (for a
-    generated instance, from ``problems.compute_oracle``) and ``zeta0``
-    must have the constraint length ``spec.p``.
-    """
-    ax = np.asarray(ax_star, dtype=float).ravel()
-    lam = np.asarray(lambda_star, dtype=float).ravel()
-    z0 = np.zeros(spec.p) if zeta0 is None else np.asarray(zeta0, dtype=float).ravel()
-    if not (ax.size == lam.size == z0.size == spec.p):
-        raise ValueError(f"ax_star, lambda_star and zeta0 must have length {spec.p}, "
-                         f"got {ax.size}, {lam.size} and {z0.size}")
-    # a zero ax_star or lambda_star raises DegenerateProblemError here
-    coeffs = _tuner.build_coefficients(ax, lam, None if zeta0 is None else z0)
-
-    ax_nrm2, lam_nrm2 = coeffs.a, -coeffs.e
-    den1 = float((ax - z0) @ lam)
-    g1 = None if den1 == 0.0 else -lam_nrm2 / den1
-    g2 = float((z0 - lam) @ ax) / ax_nrm2
-
-    agree = (
-        g1 is not None
-        and abs(g1 - g2) <= 1e-6 * max(abs(g1), abs(g2), 1e-300)
-    )
-    contradiction = (g1 is None) or (g1 <= 0.0) or (g2 <= 0.0) or not agree
-
-    alpha = solve_quartic(coeffs)
-    return ContradictionReport(
-        gamma_dagger_primal=g1,
-        gamma_dagger_dual=g2,
-        daggers_agree=agree,
-        contradiction=contradiction,
-        alpha_star=alpha,
-        gamma_star=alpha * alpha,
-        ax_norm=math.sqrt(ax_nrm2),
-        lam_norm=math.sqrt(lam_nrm2),
-        inner=float(ax @ lam),
-        zeta0_norm=float(np.linalg.norm(z0)),
-    )

@@ -6,13 +6,15 @@ vector the quartic was built for.  The successive route re-reads that formula
 off the current iterates for the zero start, where it collapses to the ratio
 ``||lam|| / ||A x||``.  ``optimal_pair`` inverts the question and returns a
 start vector and step size from which the solver's fixed-point iteration
-lands on its fixed point in a single sweep.
+lands on its fixed point in a single sweep.  ``contradiction_demo`` shows
+why the quartic works in ``alpha = sqrt(gamma)``: matching the start against
+either fixed-point view in ``gamma`` itself gives two step sizes that disagree.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +31,8 @@ __all__ = [
     "estimate_step",
     "optimal_pair",
     "asymptotic_pair",
+    "ContradictionReport",
+    "contradiction_demo",
 ]
 
 FIXED = "fixed"
@@ -59,27 +63,22 @@ class StepSizePlan:
     gamma0 : float
         Starting penalty (default 1), positive and finite, with a finite
         reciprocal.
-    update_threshold : float
-        ESTIMATED only: relative change below which a new estimate is
-        discarded and the current value kept (default 0, always update);
-        nonnegative and finite.
-    freeze_after : int or None
+    freeze_after : int or None, keyword-only
         ESTIMATED only: stop updating once this many sweeps are done; a
-        nonnegative integer (not a bool).
+        nonnegative integer (not a bool).  A penalty that keeps varying is
+        proven to converge only once it stops changing (Boyd et al. 2011,
+        section 3.4.1; He, Yang & Wang, JOTA 2000), so a run that needs the
+        guarantee freezes it.
     """
 
     mode: str
     gamma0: float = 1.0
-    update_threshold: float = 0.0
-    freeze_after: int = None
+    freeze_after: int = field(default=None, kw_only=True)
 
     def __post_init__(self):
         if self.mode not in (FIXED, ESTIMATED):
             raise ValueError(f"unknown plan mode {self.mode!r}")
         _check_gamma("gamma0", self.gamma0)
-        if not (math.isfinite(self.update_threshold) and self.update_threshold >= 0.0):
-            raise ValueError(
-                f"update_threshold must be nonnegative and finite, got {self.update_threshold}")
         f = self.freeze_after
         if f is not None and (isinstance(f, bool) or not isinstance(f, (int, np.integer)) or f < 0):
             raise ValueError(f"freeze_after must be a nonnegative integer, got {f!r}")
@@ -89,16 +88,14 @@ class StepSizePlan:
         return cls(mode=FIXED, gamma0=float(gamma))
 
     @classmethod
-    def estimated(cls, gamma0: float = 1.0, update_threshold: float = 0.0,
-                  freeze_after: int = None) -> "StepSizePlan":
-        return cls(mode=ESTIMATED, gamma0=float(gamma0),
-                   update_threshold=float(update_threshold), freeze_after=freeze_after)
+    def estimated(cls, gamma0: float = 1.0, *, freeze_after: int = None) -> "StepSizePlan":
+        return cls(mode=ESTIMATED, gamma0=float(gamma0), freeze_after=freeze_after)
 
     def describe(self) -> str:
         if self.mode == FIXED:
             return f"fixed(gamma={self.gamma0:.6g})"
         frozen = "" if self.freeze_after is None else f", freeze_after={self.freeze_after}"
-        return f"estimated(gamma0={self.gamma0:.6g}, threshold={self.update_threshold:.3g}{frozen})"
+        return f"estimated(gamma0={self.gamma0:.6g}{frozen})"
 
 
 @dataclass(frozen=True)
@@ -143,6 +140,94 @@ def gamma_general(ax_star, lambda_star, zeta0=None) -> float:
     return alpha * alpha
 
 
+@dataclass(frozen=True)
+class ContradictionReport:
+    """Why no single step size matches both fixed-point families.
+
+    ``gamma_dagger_primal`` makes the primal-view fixed point
+    ``A x* + lam*/gamma`` closest to the starting vector; ``gamma_dagger_dual``
+    does the same for the dual view ``lam* + gamma A x*``.  Unless the optimal
+    pair is anti-parallel these disagree or leave the feasible range, while
+    the quadratic change of variables always admits the positive optimum
+    ``gamma_star = alpha_star**2``.
+    """
+
+    gamma_dagger_primal: float
+    gamma_dagger_dual: float
+    daggers_agree: bool
+    contradiction: bool
+    alpha_star: float
+    gamma_star: float
+    ax_norm: float
+    lam_norm: float
+    inner: float
+    zeta0_norm: float
+
+    def as_text(self) -> str:
+        lines = [
+            "single-parameter matching of the two fixed-point views",
+            f"  ||A x*||            = {self.ax_norm:.12g}",
+            f"  ||lam*||            = {self.lam_norm:.12g}",
+            f"  <A x*, lam*>        = {self.inner:.12g}",
+            f"  ||zeta0||           = {self.zeta0_norm:.12g}",
+            f"  primal-view gamma   = {_fmt_gamma(self.gamma_dagger_primal)}",
+            f"  dual-view gamma     = {_fmt_gamma(self.gamma_dagger_dual)}",
+            f"  views agree         = {self.daggers_agree}",
+            f"  contradiction       = {self.contradiction}",
+            "change of variables (always consistent)",
+            f"  alpha_star          = {self.alpha_star:.12g}",
+            f"  gamma_star          = {self.gamma_star:.12g}  (= alpha_star**2 > 0)",
+        ]
+        return "\n".join(lines)
+
+
+def _fmt_gamma(v):
+    return "undefined (zero denominator)" if v is None else f"{v:.12g}"
+
+
+def contradiction_demo(ax_star, lambda_star, zeta0=None) -> ContradictionReport:
+    """Contrast naive single-gamma matching with the quadratic substitution.
+
+    Matching the starting vector directly against either fixed-point family
+    gives two least-squares step sizes that in general disagree or come out
+    nonpositive; the substitution ``gamma = alpha**2`` always yields a valid
+    optimum.  ``ax_star`` and ``lambda_star`` are the solution pair (for a
+    generated instance, from ``problems.compute_oracle``) and ``zeta0`` the
+    start, None for the zero vector; their sizes and entries are checked as
+    ``build_coefficients`` checks them.
+    """
+    ax = np.asarray(ax_star, dtype=float).ravel()
+    lam = np.asarray(lambda_star, dtype=float).ravel()
+    coeffs = build_coefficients(ax, lam, zeta0)
+    z0 = np.zeros(ax.size) if zeta0 is None else np.asarray(zeta0, dtype=float).ravel()
+
+    ax_nrm2, lam_nrm2 = coeffs.a, -coeffs.e
+    den1 = float((ax - z0) @ lam)
+    g1 = None if den1 == 0.0 else -lam_nrm2 / den1
+    g2 = float((z0 - lam) @ ax) / ax_nrm2
+
+    agree = (
+        g1 is not None
+        and abs(g1 - g2) <= 1e-6 * max(abs(g1), abs(g2), 1e-300)
+    )
+    contradiction = (g1 is None) or (g1 <= 0.0) or (g2 <= 0.0) or not agree
+
+    # the module attribute, as in gamma_general
+    alpha = quartic.solve_quartic(coeffs)
+    return ContradictionReport(
+        gamma_dagger_primal=g1,
+        gamma_dagger_dual=g2,
+        daggers_agree=agree,
+        contradiction=contradiction,
+        alpha_star=alpha,
+        gamma_star=alpha * alpha,
+        ax_norm=math.sqrt(ax_nrm2),
+        lam_norm=math.sqrt(lam_nrm2),
+        inner=float(ax @ lam),
+        zeta0_norm=float(np.linalg.norm(z0)),
+    )
+
+
 def estimate_step(state, plan: StepSizePlan) -> float:
     """Next step size from the current iterates under an ESTIMATED plan.
 
@@ -163,8 +248,8 @@ def estimate_step(state, plan: StepSizePlan) -> float:
     -------
     float
         The re-estimated step size, or ``state.gamma`` unchanged when the
-        plan is frozen, the iterates are still degenerate (either norm below
-        1e-12), or the relative change is within ``plan.update_threshold``.
+        plan is frozen or the iterates are still degenerate (either norm
+        below 1e-12).
 
     Raises
     ------
@@ -198,10 +283,7 @@ def estimate_step(state, plan: StepSizePlan) -> float:
         return current
     # the biquadratic root (-e/a)**(1/4), with the bits solve_quartic returns
     alpha = (lam2 / ax2) ** 0.25
-    new = alpha * alpha
-    if plan.update_threshold > 0.0 and abs(new - current) <= plan.update_threshold * current:
-        return current
-    return new
+    return alpha * alpha
 
 
 def optimal_pair(ax_star, lambda_star, beta: float) -> OptimalPair:

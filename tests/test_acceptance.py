@@ -306,8 +306,7 @@ def test_estimated_step_tracks_oracle(desk, oracle, record_criterion):
 
 def test_single_step_matching_contradiction(desk, oracle, record_criterion):
     o = oracle("lp")
-    report = at.contradiction_demo(desk("lp").spec, None,
-                                   ax_star=o.ax, lambda_star=o.lam)
+    report = at.contradiction_demo(o.ax, o.lam)
 
     def fmt(value):
         return "none" if value is None else f"{value:.4g}"

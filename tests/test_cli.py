@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from admmtune import (KINDS, TerminationRule, cli, compute_oracle, engine, generate, problems,
-                      prox, tuner)
+from admmtune import (KINDS, TerminationRule, cli, compute_oracle, generate, problems, prox,
+                      quartic, tuner)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -97,8 +97,7 @@ def test_run_structure_init(tmp_path):
 def test_run_estimated_flags_pass_through(tmp_path):
     out = tmp_path / "est"
     assert run_cli(["run", "--kind", "lasso", "--plan", "estimated:1.0",
-                    "--update-threshold", "0.05", "--freeze-after", "50",
-                    "--out", str(out)]) == 0
+                    "--freeze-after", "50", "--out", str(out)]) == 0
     header, rows = read_csv(out / "lasso_desk_seed0_estimated-1.csv")
     gammas = {row[1] for row in rows}
     assert len(gammas) > 1
@@ -158,7 +157,7 @@ def test_config_values_are_literal(tmp_path):
 # a value for every option, none of them its default
 _SAMPLES = {"kind": "lasso", "profile": "paper", "seed": "7", "out": "elsewhere",
             "plans": "pair:2", "tol": "1e-05", "max_iter": "77", "init": "structure",
-            "update_threshold": "0.125", "freeze_after": "9",
+            "freeze_after": "9",
             "strict": "yes", "gamma_min": "0.01", "gamma_max": "20", "points": "5"}
 _OPTIONS = [(command, key, action) for command, sub in cli._build_parser()[1].items()
             for key, action in cli._config_keys(sub).items()]
@@ -244,6 +243,17 @@ def test_config_unknown_keys_exit_two(tmp_path, capsys):
         assert str(relaxed) in err and f"[{section}]" in err and "'theta'" in err
     assert not out.exists()
 
+    # an estimated plan adopts every new estimate: no flag or key sets an update threshold
+    argv = ["run", "--kind", "qp", "--plan", "estimated", "--out", str(out)]
+    assert run_cli(argv + ["--update-threshold", "0.05"]) == 2
+    assert "--update-threshold" in capsys.readouterr().err
+    thresholded = tmp_path / "thresholded.ini"
+    thresholded.write_text("[run]\nupdate-threshold = 0.05\n")
+    assert run_cli(argv + ["--config", str(thresholded)]) == 2
+    err = capsys.readouterr().err
+    assert str(thresholded) in err and "[run] unknown key 'update-threshold'" in err
+    assert not out.exists()
+
     # a [common] key is valid when any subcommand takes it, and a key of one
     # subcommand is not valid in another's section
     shared = tmp_path / "shared.ini"
@@ -327,7 +337,7 @@ def test_numerical_failures_exit_four(tmp_path, capsys, monkeypatch):
             assert run_cli(argv + ["--out", out]) == 4
             assert capsys.readouterr().err == ("admmtune: reference run for kind 'qp' stalled "
                                                "at residue nan after 0 sweeps\n")
-    monkeypatch.setattr(engine, "solve_quartic", _refuse_every_root)
+    monkeypatch.setattr(quartic, "solve_quartic", _refuse_every_root)
     assert run_cli(["contradiction", "--kind", "qp", "--out", out]) == 4
     assert capsys.readouterr().err == "admmtune: no positive real root passed validation\n"
     assert not list(tmp_path.rglob("*.csv"))
@@ -480,9 +490,6 @@ def test_non_finite_step_sizes_exit_two(tmp_path, capsys):
     for plan in ("fixed:inf", "fixed:nan", "estimated:inf", "fixed:1e-320"):
         assert run_cli(["run", "--kind", "qp", "--plan", plan, "--out", out]) == 2
         assert "gamma0 must be positive and finite" in capsys.readouterr().err
-    assert run_cli(["run", "--kind", "qp", "--plan", "estimated", "--update-threshold", "nan",
-                    "--out", out]) == 2
-    assert "update_threshold" in capsys.readouterr().err
     for flag in ("--gamma-min", "--gamma-max"):
         for value in ("inf", "nan"):
             assert run_cli(["grid", "--kind", "qp", flag, value, "--out", out]) == 2

@@ -273,10 +273,9 @@ def test_residue_monotone_under_fixed_gamma():
 
 def test_contradiction_report_with_supplied_solution():
     rng = np.random.default_rng(13)
-    spec = small_spec(seed=13)
     u = rng.normal(size=6)
     v = rng.normal(size=6)
-    rep = contradiction_demo(spec, ax_star=u, lambda_star=v)
+    rep = contradiction_demo(u, v)
     g1 = -np.dot(v, v) / np.dot(u, v)
     g2 = -np.dot(v, u) / np.dot(u, u)
     assert rep.gamma_dagger_primal == pytest.approx(g1, rel=1e-12)
@@ -288,29 +287,26 @@ def test_contradiction_report_with_supplied_solution():
 
 
 def test_contradiction_handles_vanishing_denominator():
-    spec = small_spec(seed=14)
     u = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     v = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
     zeta0 = u.copy()  # <Ax* - zeta0, lam*> = 0 kills the primal-view formula
-    rep = contradiction_demo(spec, zeta0, ax_star=u, lambda_star=v)
+    rep = contradiction_demo(u, v, zeta0)
     assert rep.gamma_dagger_primal is None
     assert rep.contradiction
     assert rep.gamma_star > 0.0
     # a zero ax_star leaves the dual-view quotient undefined
     with pytest.raises(at.DegenerateProblemError):
-        contradiction_demo(spec, ax_star=np.zeros(6), lambda_star=np.ones(6))
+        contradiction_demo(np.zeros(6), np.ones(6))
 
 
 def test_contradiction_needs_the_solution_pair_at_the_constraint_length():
-    spec = small_spec(seed=15)
     with pytest.raises(TypeError):
-        contradiction_demo(spec)
-    with pytest.raises(TypeError):
-        contradiction_demo(spec, ax_star=np.ones(6))
-    with pytest.raises(ValueError, match="length 6"):
-        contradiction_demo(spec, ax_star=np.ones(5), lambda_star=np.ones(5))
-    with pytest.raises(ValueError, match="length 6"):
-        contradiction_demo(spec, np.ones(5), ax_star=np.ones(6), lambda_star=np.ones(6))
+        contradiction_demo(np.ones(6))
+    # the pair and the start must share one length, checked as the quartic checks it
+    with pytest.raises(ValueError, match="matching sizes, got 6 and 5"):
+        contradiction_demo(np.ones(6), np.ones(5))
+    with pytest.raises(ValueError, match="zeta0 must have size 6, got 5"):
+        contradiction_demo(np.ones(6), np.ones(6), np.ones(5))
 
 
 def test_closed_form_step_that_rounds_to_zero_is_rejected_by_the_plan():

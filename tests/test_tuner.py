@@ -2,6 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import admmtune as at
 import admmtune.quartic as quartic_mod
@@ -14,6 +17,7 @@ from admmtune import (
     TerminationRule,
     asymptotic_pair,
     build_coefficients,
+    contradiction_demo,
     estimate_step,
     gamma_general,
     gamma_zero_init,
@@ -180,10 +184,13 @@ def test_estimate_step_freeze_and_threshold():
     state = SolverState(ax=np.ones(4), lam=2.0 * np.ones(4), gamma=1.0, k=10)
     frozen = StepSizePlan.estimated(freeze_after=5)
     assert estimate_step(state, frozen) == 1.0
-    coarse = StepSizePlan.estimated(update_threshold=2.0)
-    assert estimate_step(state, coarse) == 1.0  # |2 - 1| <= 2 * 1 keeps the old value
-    fine = StepSizePlan.estimated(update_threshold=0.5)
-    assert estimate_step(state, fine) == pytest.approx(2.0)
+    assert estimate_step(state, StepSizePlan.estimated(freeze_after=11)) == pytest.approx(2.0)
+    # a second positional argument was the update threshold: taken as
+    # freeze_after, estimated(1.0, 0) would freeze at once
+    with pytest.raises(TypeError):
+        StepSizePlan.estimated(1.0, 0)
+    with pytest.raises(TypeError):
+        StepSizePlan(at.ESTIMATED, 1.0, 0)
 
 
 def test_estimate_step_degenerate_iterates_keep_gamma():
@@ -244,8 +251,6 @@ def test_plan_rejects_non_finite_and_non_integer_settings():
             StepSizePlan.fixed(bad)
         with pytest.raises(ValueError, match="gamma0"):
             StepSizePlan.estimated(gamma0=bad)
-        with pytest.raises(ValueError, match="update_threshold"):
-            StepSizePlan.estimated(update_threshold=bad)
     for bad in (2.5, True, -1, "3"):
         with pytest.raises(ValueError, match="freeze_after"):
             StepSizePlan.estimated(freeze_after=bad)
@@ -321,14 +326,13 @@ def _gamma_general_estimate(state, plan):
         return current
     if np.linalg.norm(state.ax) < 1e-12 or np.linalg.norm(state.lam) < 1e-12:
         return current
-    new = gamma_general(state.ax, state.lam)
-    if plan.update_threshold > 0.0 and abs(new - current) <= plan.update_threshold * current:
-        return current
-    return new
+    return gamma_general(state.ax, state.lam)
 
 
 @pytest.mark.parametrize("kind", ["lp", "qp", "lad", "huber", "bp", "lasso", "tv", "sics"])
-@pytest.mark.parametrize("plan", [StepSizePlan.estimated(), StepSizePlan.estimated(0.5, 0.01, 30)],
+# the second case keeps the id it had when its plan also set an update threshold
+@pytest.mark.parametrize("plan", [StepSizePlan.estimated(),
+                                  StepSizePlan.estimated(0.5, freeze_after=30)],
                          ids=["default", "threshold-freeze"])
 def test_estimated_gamma_column_is_the_gamma_general_loop(desk, monkeypatch, kind, plan):
     spec = desk(kind).spec
@@ -366,3 +370,53 @@ def test_solve_estimates_once_per_sweep_after_the_first(desk, monkeypatch):
     assert all(state is seen[0][0] for state, _ in seen)
     # zero-start estimates take the biquadratic root without the quartic solver
     assert not quartic_calls
+
+
+@pytest.mark.parametrize("kind", ["lp", "qp"])
+def test_start_aware_estimate_reaches_the_start_oracle_in_more_sweeps(desk, oracle, monkeypatch,
+                                                                      kind):
+    # re-solving the full quartic with the run's own start, not the zero
+    # start's ratio, ends at that start's oracle step size (lp 0.9136, qp
+    # 5.5786, against 0.2934 and 3.1634) but takes more sweeps (lp 1813
+    # against 1759, qp 48 against 32)
+    inst, o = desk(kind), oracle(kind)
+    start = inst.structure_start()
+    rule = TerminationRule(tol=1e-6, max_iter=100_000)
+    zero_start = at.solve(inst.spec, StepSizePlan.estimated(), init=start, rule=rule)
+
+    def start_aware(state, plan):
+        if np.linalg.norm(state.ax) < 1e-12 or np.linalg.norm(state.lam) < 1e-12:
+            return state.gamma
+        return gamma_general(state.ax, state.lam, start)
+
+    monkeypatch.setattr(tuner_mod, "estimate_step", start_aware)
+    aware = at.solve(inst.spec, StepSizePlan.estimated(), init=start, rule=rule)
+    assert zero_start.converged and aware.converged
+    assert aware.final_gamma == pytest.approx(gamma_general(o.ax, o.lam, start), rel=1e-4)
+    assert zero_start.final_gamma == pytest.approx(gamma_general(o.ax, o.lam), rel=1e-4)
+    assert aware.final_gamma > 1.5 * zero_start.final_gamma
+    assert aware.iterations_to_tol > zero_start.iterations_to_tol
+
+
+@st.composite
+def _report_inputs(draw):
+    p = draw(st.integers(1, 6))
+    vector = arrays(np.float64, p, elements=st.floats(-1e3, 1e3))
+    zeta0 = draw(st.one_of(st.none(), vector))
+    return draw(vector), draw(vector), zeta0
+
+
+@settings(max_examples=200, deadline=None)
+@given(_report_inputs())
+def test_contradiction_report_takes_gamma_general_root(vectors):
+    ax, lam, zeta0 = vectors
+    try:
+        want = gamma_general(ax, lam, zeta0)
+    except (ValueError, ArithmeticError) as err:
+        # a zero vector, or a quartic whose every root is refused
+        with pytest.raises(type(err)):
+            contradiction_demo(ax, lam, zeta0)
+        return
+    report = contradiction_demo(ax, lam, zeta0)
+    assert report.gamma_star == want
+    assert report.gamma_star == report.alpha_star ** 2
