@@ -47,6 +47,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -427,11 +428,22 @@ def _build_parser():
     return parser, sub.choices
 
 
+@functools.cache
+def _plain_parser():
+    """The parser of every parse without a config file, built once per process.
+
+    Parsing leaves a parser as it was, so one serves every such call.
+    """
+    return _build_parser()[0]
+
+
 def _parse_args(argv):
     """Parse ``argv``; with ``--config``, again over the file's values."""
-    parser, subparsers = _build_parser()
-    args = parser.parse_args(argv)
+    args = _plain_parser().parse_args(argv)
     if args.config is not None:
+        # the file's values become defaults of this parser alone, so that
+        # none reaches a later call
+        parser, subparsers = _build_parser()
         _load_config(args.config, subparsers, args.command)
         args = parser.parse_args(argv)
     return args

@@ -184,13 +184,19 @@ def _drs_sweep(spec):
     the infeasibility column read.
     """
     prox_f, prox_g, A, B, c = spec.prox_f, spec.prox_g, spec.A, spec.B, spec.c
+    # B = None is minus the identity: c - (-z) is c + z in IEEE arithmetic,
+    # which for a zero c is z itself up to the sign of a zero entry
+    y_half_is_z = B is None and not c.any()
 
     def sweep(sigma, gamma):
         z = prox_g(c - sigma, gamma)
-        # B = None is minus the identity: c - (-z) is c + z in IEEE arithmetic
-        y_half = c + z if B is None else c - B @ z
-        x = prox_f(2.0 * y_half - sigma, gamma)
-        y_one = x if A is None else A @ x
+        if y_half_is_z:
+            y_half = z
+        else:
+            y_half = c + z if B is None else c - B.dot(z)
+        # y + y is 2 y exactly, with no scalar operand to convert
+        x = prox_f(y_half + y_half - sigma, gamma)
+        y_one = x if A is None else A.dot(x)
         gap = y_one - y_half
         return sigma + gap, x, z, y_half, y_one, gap
 

@@ -160,7 +160,7 @@ def _pinv_step(A):
     _check_full_rank(s, A.shape[1], "constraint matrix A does not have full column rank")
     A_pinv = Vt.T @ ((1.0 / s)[:, None] * U.T)
     A_pinv.setflags(write=False)
-    return lambda w, g: A_pinv @ w
+    return lambda w, g: A_pinv.dot(w)
 
 
 def _draw_lp(rng, dims, params):
@@ -177,7 +177,7 @@ def _spec_lp(dims, data, params):
     n = dims["n"]
 
     def objective(x, z):
-        return float(cost @ x)
+        return float(cost.dot(x))
 
     return ProblemSpec(_x_step(catalog_prox("quad_affine", P=np.zeros((n, n)), q=cost, A=A, b=b)),
                        _z_step(catalog_prox("nonneg", dim=n)), objective, p=n)
@@ -230,7 +230,7 @@ def _spec_qp(dims, data, params):
     n = dims["n"]
 
     def objective(x, z):
-        return float(0.5 * x @ (P @ x) + q @ x + r)
+        return float((0.5 * x).dot(P.dot(x)) + q.dot(x) + r)
 
     return ProblemSpec(_x_step(catalog_prox("quad_affine", P=P, q=q)),
                        _z_step(catalog_prox("box", dim=n, lower=data["lower"], upper=data["upper"])),
@@ -333,7 +333,7 @@ def _spec_lasso(dims, data, params):
         prox_f = _x_step(catalog_prox("lstsq", A=A, b=b))
 
         def residual(x):
-            return A @ x - b
+            return A.dot(x) - b
 
     else:
         # the catalog's wide lstsq drops the image t = U^T A x of its
@@ -356,11 +356,11 @@ def _spec_lasso(dims, data, params):
             # for the x that prox_f returned last, A x = U t and so
             # ||A x - b|| = ||t - U^T b||: no pass over A
             x_last, t = last
-            return t - ub if x is x_last else A @ x - b
+            return t - ub if x is x_last else A.dot(x) - b
 
     def objective(x, z):
         res = residual(x)
-        return float(0.5 * res @ res + alpha * np.abs(z).sum())
+        return float((0.5 * res).dot(res) + alpha * np.abs(z).sum())
 
     return ProblemSpec(prox_f, _z_step(catalog_prox("l1", dim=n, weight=alpha)), objective, p=n)
 
@@ -427,7 +427,7 @@ def _spec_tv(dims, data, params):
 
     def objective(x, z):
         d = x - b
-        return float(0.5 * d @ d + alpha * np.abs(z).sum())
+        return float((0.5 * d).dot(d) + alpha * np.abs(z).sum())
 
     # F is (n-1) x n and can never have full column rank; the quadratic
     # data fit keeps the x step single-valued regardless

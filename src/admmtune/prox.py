@@ -24,10 +24,17 @@ wide ``lstsq`` (fewer rows than columns) decomposes the small Gram matrix
 over one m x n matrix.  ``affine_set`` and a constrained ``quad_affine``
 split space along one SVD of the constraint matrix: ``affine_set``
 projects with its row-space basis, ``quad_affine`` solves in its null
-space.  Handles hold only read-only arrays and are safe to share across
-threads.  An entry rejects matrix or vector data holding NaN or inf, and
-scalar parameters that are NaN, with ValueError before it decomposes
-anything.
+space.  Handles hold only read-only arrays, copied from the caller's at
+build, and are safe to share across threads.  An entry rejects matrix or
+vector data holding NaN or inf, and scalar parameters that are NaN, with
+ValueError before it decomposes anything.
+
+Every matrix-vector product a handle evaluates is written ``M.dot(v)``: it
+runs the BLAS gemv of ``M @ v`` without the ufunc dispatch, to the same
+bits, as long as ``M`` is C- or Fortran-contiguous.  ``dot`` copies a
+strided view to C order first, and gemv rounds differently on the copy, so
+a factor sliced from a decomposition is held as a contiguous copy in the
+memory order of that slice.
 """
 
 from __future__ import annotations
@@ -175,7 +182,7 @@ def _shifted_solver(G, gram=False):
         if lo is not None and not (a + b * lo > _TINY and a + b * hi > _TINY):
             raise ValueError(
                 f"a*I + b*G is not positive definite above the smallest normal float at a={a}, b={b}")
-        return U @ ((U.T @ r) / (a + b * s))
+        return U.dot(U.T.dot(r) / (a + b * s))
 
     return solve
 
@@ -206,8 +213,8 @@ def _wide_gram_solver(A, d):
         if not (a > _TINY and (lo is None or (a + b * lo > _TINY and a + b * hi > _TINY))):
             raise ValueError(
                 f"a*I + b*A^T A is not positive definite above the smallest normal float at a={a}, b={b}")
-        t = (W @ r) / (a + b * s)
-        return (r - b * (W.T @ t)) / a, t
+        t = W.dot(r) / (a + b * s)
+        return (r - b * W.T.dot(t)) / a, t
 
     return solve, ud
 
@@ -239,8 +246,9 @@ def _affine_frame(A, b, full_matrices):
 
 
 def _soft_threshold(v, t):
-    # exact zero on ties |v| == t
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    # v minus its clip to [-t, t]: +0 exactly on |v| <= t, ties included, and
+    # the values of sign(v) * max(|v| - t, 0) in three calls instead of five
+    return v - np.maximum(np.minimum(v, t), -t)
 
 
 def _entry_l1(dim, weight=1.0):
@@ -255,10 +263,15 @@ def _entry_l1(dim, weight=1.0):
 
 
 def _entry_nonneg(dim):
-    def evaluate(v, gamma):
-        return np.maximum(v, 0.0)
+    dim = int(dim)
+    # an array operand spares the conversion of a scalar 0.0 on every call
+    zero = np.zeros(dim)
+    zero.setflags(write=False)
 
-    return ProxHandle(evaluate, CLASSICAL, int(dim))
+    def evaluate(v, gamma):
+        return np.maximum(v, zero)
+
+    return ProxHandle(evaluate, CLASSICAL, dim)
 
 
 def _entry_box(dim, lower, upper):
@@ -268,9 +281,12 @@ def _entry_box(dim, lower, upper):
     # written so that a NaN bound fails; infinite bounds pass
     if not np.all(lo <= hi):
         raise ValueError("box bounds must satisfy lower <= upper elementwise")
+    lo.setflags(write=False)
+    hi.setflags(write=False)
 
     def evaluate(v, gamma):
-        return np.clip(v, lo, hi)
+        # np.clip's values, NaN included, at less than half its call cost
+        return np.minimum(np.maximum(v, lo), hi)
 
     return ProxHandle(evaluate, CLASSICAL, dim)
 
@@ -284,7 +300,7 @@ def _entry_affine_set(A, b):
 
     def evaluate(v, gamma):
         # v - A^+ (A v - b), with A^+ A = V V^T the row-space projector
-        return v - Vt.T @ (Vt @ v) + x0
+        return v - Vt.T.dot(Vt.dot(v)) + x0
 
     return ProxHandle(evaluate, CLASSICAL, A.shape[1])
 
@@ -298,10 +314,11 @@ def _entry_quad_affine(P, q=None, A=None, b=None):
     asym = np.max(np.abs(P - P.T))
     if asym > 1e-10 * max(1.0, np.max(np.abs(P))):
         raise ValueError(f"P must be symmetric (asymmetry {asym:.3e})")
-    q = np.zeros(n) if q is None else np.asarray(q, dtype=float).ravel()
+    q = np.zeros(n) if q is None else np.array(q, dtype=float).ravel()
     if q.size != n:
         raise ValueError(f"q must have length {n}, got {q.size}")
     _require_finite("q", q)
+    q.setflags(write=False)
     if A is None:
         if b is not None:
             raise ValueError("b given without A")
@@ -319,22 +336,29 @@ def _entry_quad_affine(P, q=None, A=None, b=None):
     Vt, x0 = _affine_frame(A, b, full_matrices=True)
     # x = x0 + N y with x0 = pinv(A) b and N an orthonormal basis of null(A);
     # since N^T x0 = 0, the prox reduces to (I + gamma N^T P N) y = N^T (v - gamma (q + P x0))
-    # no contiguous copy of N or N^T: the products below round differently on one
     N = Vt[A.shape[0]:].T
     c = q + P @ x0
     H = N.T @ P @ N
+    # the per-call products keep each factor in the memory order of the view
+    # N, since gemv rounds differently in the other order: N^T = Vt[p:] as a
+    # Fortran-ordered copy and N as its C-ordered transpose; H stays on the
+    # view, whose gemm rounds differently from the copy's at some sizes
+    Nt = np.asfortranarray(Vt[A.shape[0]:])
+    N = Nt.T
+    for arr in (c, Nt, N):
+        arr.setflags(write=False)
     if not np.any(H):
         # a zero reduced Hessian (P = 0, as in a linear program): eigh would
         # give U = I and s = 0 exactly, so the shifted solve is the identity
         def evaluate(v, gamma):
-            return x0 + N @ (N.T @ (v - gamma * c))
+            return x0 + N.dot(Nt.dot(v - gamma * c))
 
         return ProxHandle(evaluate, CLASSICAL, n)
 
     solve = _shifted_solver(H)
 
     def evaluate(v, gamma):
-        return x0 + N @ solve(1.0, gamma, N.T @ (v - gamma * c))
+        return x0 + N.dot(solve(1.0, gamma, Nt.dot(v - gamma * c)))
 
     return ProxHandle(evaluate, CLASSICAL, n)
 
@@ -348,6 +372,7 @@ def _entry_lstsq(A, b):
     _require_finite("b", b)
     m, n = A.shape
     atb = A.T @ b
+    atb.setflags(write=False)
     if m >= n:
         solve = _shifted_solver(A.T @ A, gram=True)
 
@@ -418,12 +443,13 @@ def _entry_logdet_quad(n, S=None):
     if S is None:
         S = np.zeros((n, n))
     else:
-        S = np.asarray(S, dtype=float)
+        S = np.array(S, dtype=float)
         if S.shape != (n, n):
             raise ValueError(f"S must be ({n}, {n}), got {S.shape}")
         _require_finite("S", S)
         if np.max(np.abs(S - S.T)) > 1e-10 * max(1.0, np.max(np.abs(S))):
             raise ValueError("S must be symmetric")
+    S.setflags(write=False)
 
     def evaluate(v, gamma):
         V = v.reshape(n, n)

@@ -124,6 +124,17 @@ def test_config_file_layering(tmp_path):
     assert (out / "qp_desk_seed4_summary.json").is_file()
 
 
+def test_config_values_do_not_reach_a_later_call(tmp_path):
+    config = tmp_path / "loose.ini"
+    config.write_text("[run]\nkind = qp\nplans = fixed:2.0\ntol = 1e-3\n")
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run_cli(["run", "--config", str(config), "--out", str(first)]) == 0
+    assert json.loads((first / "qp_desk_seed0_summary.json").read_text())["tol"] == 1e-3
+    assert run_cli(["run", "--kind", "qp", "--plan", "fixed:2.0", "--out", str(second)]) == 0
+    assert json.loads((second / "qp_desk_seed0_summary.json").read_text())["tol"] == 1e-6
+    assert "1e-06" in (second / "qp_desk_seed0_summary.json").read_text()
+
+
 def test_config_default_section_is_the_lowest_layer(tmp_path):
     # [DEFAULT] is read after [common], which is read after [run], whichever
     # sections the file has

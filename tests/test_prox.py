@@ -63,7 +63,28 @@ def test_soft_threshold_values_and_exact_tie():
     out = h(np.array([5.0, -0.5, 2.0]), 1.0)
     assert np.allclose(out, [3.0, 0.0, 0.0])
     # the kink itself maps to exactly zero, no sign leakage
-    assert h(np.array([2.0, -2.0, 0.0]), 1.0).tolist() == [0.0, 0.0, 0.0]
+    tie = h(np.array([2.0, -2.0, 0.0]), 1.0)
+    assert tie.tolist() == [0.0, 0.0, 0.0]
+    assert not np.signbit(tie).any()
+
+
+@st.composite
+def _threshold_cases(draw):
+    t = draw(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+    # ties, signed zeros and infinities among arbitrary non-NaN floats
+    entry = st.one_of(st.floats(allow_nan=False),
+                      st.sampled_from([t, -t, 0.0, -0.0, math.inf, -math.inf]))
+    return np.array(draw(st.lists(entry, min_size=1, max_size=40))), t
+
+
+@settings(max_examples=300, deadline=None)
+@given(_threshold_cases())
+def test_soft_threshold_equals_the_sign_times_shrinkage_form(case):
+    v, t = case
+    out = prox_mod._soft_threshold(v, t)
+    assert np.array_equal(out, np.sign(v) * np.maximum(np.abs(v) - t, 0.0))
+    # where the sign form gives -0 (negative v inside the threshold), +0
+    assert not np.signbit(out[np.abs(v) <= t]).any()
 
 
 def test_right_scaled_shrinkage_scalar():
@@ -355,6 +376,17 @@ def test_scalar_parameters_reject_nan(kind, params):
 def test_box_bounds_may_be_infinite():
     h = catalog_prox("box", dim=3, lower=-np.inf, upper=np.array([np.inf, 1.0, np.inf]))
     assert np.array_equal(h(np.array([-5.0, 5.0, 5.0]), 1.0), [-5.0, 1.0, 5.0])
+
+
+def test_box_equals_clip_for_infinite_bounds_and_nan():
+    lower = np.array([-1.0, -np.inf, 0.0, -np.inf, 2.0, -0.0, 1.0])
+    upper = np.array([1.0, 3.0, np.inf, np.inf, 2.0, 0.0, 4.0])
+    h = catalog_prox("box", dim=7, lower=lower, upper=upper)
+    rng = np.random.default_rng(35)
+    for v in (rng.normal(scale=5.0, size=7),
+              np.array([np.nan, -np.inf, np.inf, np.nan, -0.0, 0.0, np.nan]),
+              np.array([-np.inf, np.inf, -np.inf, 7.0, np.nan, -3.0, 2.5])):
+        assert np.array_equal(h(v, 1.0), np.clip(v, lower, upper), equal_nan=True)
 
 
 def test_huber_piecewise_form():
@@ -649,3 +681,63 @@ def test_builds_reject_non_finite_data(monkeypatch, entry, field, bad):
     data[field].flat[0] = bad  # a diagonal entry, so P and S stay symmetric
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         _build(entry, data)
+
+
+def _held_arrays(fn, seen=None):
+    """The ndarrays in the closure of ``fn`` and of the functions it closes over."""
+    seen = set() if seen is None else seen
+    seen.add(id(fn))
+    arrays = []
+    for cell in fn.__closure__ or ():
+        obj = cell.cell_contents
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif callable(obj) and getattr(obj, "__closure__", None) and id(obj) not in seen:
+            arrays += _held_arrays(obj, seen)
+    return arrays
+
+
+def _caller_builds():
+    rng = np.random.default_rng(36)
+    P = rng.normal(size=(5, 5))
+    P = P @ P.T + np.eye(5)
+    S = rng.normal(size=(3, 3))
+    S = S @ S.T + np.eye(3)
+    return [
+        pytest.param("l1", dict(dim=5, weight=1.3), id="l1"),
+        pytest.param("nonneg", dict(dim=5), id="nonneg"),
+        pytest.param("box", dict(dim=5, lower=rng.normal(size=5) - 2.0,
+                                 upper=rng.normal(size=5) + 2.0), id="box"),
+        pytest.param("affine_set", dict(A=rng.normal(size=(2, 5)), b=rng.normal(size=2)),
+                     id="affine_set"),
+        pytest.param("quad_affine", dict(P=P.copy(), q=rng.normal(size=5)), id="quad_affine"),
+        pytest.param("quad_affine", dict(P=P.copy(), q=rng.normal(size=5),
+                                         A=rng.normal(size=(2, 5)), b=rng.normal(size=2)),
+                     id="quad_affine-constrained"),
+        pytest.param("quad_affine", dict(P=np.zeros((5, 5)), q=rng.normal(size=5),
+                                         A=rng.normal(size=(2, 5)), b=rng.normal(size=2)),
+                     id="quad_affine-linear"),
+        pytest.param("lstsq", dict(A=rng.normal(size=(9, 5)), b=rng.normal(size=9)),
+                     id="lstsq-tall"),
+        pytest.param("lstsq", dict(A=rng.normal(size=(3, 5)), b=rng.normal(size=3)),
+                     id="lstsq-wide"),
+        pytest.param("huber", dict(dim=5, delta=0.5), id="huber"),
+        pytest.param("tv_quad", dict(n=5, target=rng.normal(size=4)), id="tv_quad"),
+        pytest.param("logdet_quad", dict(n=3, S=S), id="logdet_quad"),
+    ]
+
+
+@pytest.mark.parametrize("kind, params", _caller_builds())
+def test_handles_hold_read_only_copies_of_the_callers_arrays(kind, params):
+    params = {key: np.array(value) if isinstance(value, np.ndarray) else value
+              for key, value in params.items()}
+    h = catalog_prox(kind, **params)
+    held = _held_arrays(h.evaluate)
+    assert held or kind in ("l1", "huber")
+    assert not any(arr.flags.writeable for arr in held)
+    v = np.random.default_rng(37).normal(size=h.dim)
+    before = h(v, 0.7)
+    for value in params.values():
+        if isinstance(value, np.ndarray):
+            value[...] = 5.0
+    assert np.array_equal(h(v, 0.7), before)
