@@ -7,35 +7,15 @@ grid           fixed-step sweep over a log-spaced grid, iterations per point
 contradiction  report that no single step size matches both fixed-point views
 generate       write a problem instance as JSON
 
-Every option can also come from an INI config file (``--config``); explicit
-flags win over the file, which wins over built-in defaults.  Options shared
-by all subcommands may live in a ``[common]`` section (or, read after it, in
-``[DEFAULT]``), subcommand-specific ones in ``[run]``, ``[grid]``,
-``[contradiction]``, or ``[generate]``.  A key is an option's long flag
-without ``--`` (``plans`` for ``--plan``), and its value, taken literally
-(``%`` interpolates nothing), is converted as the flag's is.  A key that no
-option of its section takes, or a value its option rejects, is a
-configuration error, even where a flag overrides it::
-
-    [common]
-    kind = lasso
-    profile = desk
-    seed = 0
-    out = results
-
-    [run]
-    plans = fixed:2.0, estimated, oracle
-    tol = 1e-6
-
 CSV files are written atomically (temp file then rename) with the header
 ``k,gamma,residue,objective,infeasibility`` and shortest round-trip float
-formatting, so identical configurations yield byte-identical files.  JSON
+formatting, so identical options yield byte-identical files.  JSON
 summaries carry ``"schema": 1`` and the wall times.
 
-Exit codes: 0 success, 2 configuration or usage error, 3 when ``--strict``
-is set and some run failed to converge, 4 when a solve fails numerically (a
-non-finite iterate, a stalled reference run, or a quartic whose every root
-is refused), with one ``admmtune: ...`` line on stderr.  When the reader of
+Exit codes: 0 success, 2 usage errors, 3 when ``--strict`` is set and some
+run failed to converge, 4 when a solve fails numerically (a non-finite
+iterate, a stalled reference run, or a quartic whose every root is
+refused), with one ``admmtune: ...`` line on stderr.  When the reader of
 stdout closes early, as ``| head -1`` does, the exit code is 141 (128 +
 SIGPIPE, what a shell reports for a writer that a closed pipe ends): the
 command stops at the first write that finds the pipe closed, so the files it
@@ -45,7 +25,6 @@ would write after that are missing, and it prints no traceback.
 from __future__ import annotations
 
 import argparse
-import configparser
 import dataclasses
 import functools
 import json
@@ -62,79 +41,6 @@ from .engine import TerminationRule, solve
 __all__ = ["main"]
 
 _PROG = "admmtune"
-
-
-class ConfigError(Exception):
-    """Bad configuration file or option value; maps to exit code 2."""
-
-
-def _parse_bool(raw):
-    low = str(raw).strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
-def _parse_plans(raw):
-    tokens = [tok.strip() for tok in str(raw).split(",")]
-    return [tok for tok in tokens if tok]
-
-
-# config conversions of the options whose flags take no typed value
-_CONFIG_CASTS = {"plans": _parse_plans, "strict": _parse_bool}
-
-
-def _config_keys(subparser):
-    """Map each config key of ``subparser`` (its dest with '-' for '_') to its action."""
-    return {action.dest.replace("_", "-"): action for action in subparser._actions
-            if action.dest not in ("help", "config")}
-
-
-def _load_config(path, subparsers, command):
-    """Make an INI file's values the defaults of ``subparsers[command]``.
-
-    Every section and key must be known: a ``[common]`` or ``[DEFAULT]``
-    key is valid if any subcommand takes it, a section named after a
-    subcommand takes that subcommand's keys.  Each key ``command`` takes is
-    converted as its flag converts it, from its own section if that has the
-    key, else from ``[common]``, else from ``[DEFAULT]``.  Config plans go
-    to ``config_plans``, since ``--plan`` flags would append to a ``plans``
-    default.
-    """
-    if not os.path.isfile(path):
-        raise ConfigError(f"config file not found: {path}")
-    # no section header is empty, so here [DEFAULT] is an ordinary section
-    # whose keys do not show through the others
-    cfg = configparser.ConfigParser(default_section="", interpolation=None)
-    try:
-        cfg.read(path)
-    except configparser.Error as err:
-        raise ConfigError(f"{path}: {err}") from None
-    keys = {name: set(_config_keys(p)) for name, p in subparsers.items()}
-    common = set().union(*keys.values())
-    keys.update({"common": common, "DEFAULT": common})
-    for section in cfg.sections():
-        if section not in keys:
-            raise ConfigError(f"{path}: unknown section [{section}]")
-        unknown = sorted(set(cfg.options(section)) - keys[section])
-        if unknown:
-            raise ConfigError(f"{path}: [{section}] unknown key {unknown[0]!r}; "
-                              f"known keys: {', '.join(sorted(keys[section]))}")
-    values = {}
-    for key, action in _config_keys(subparsers[command]).items():
-        section = next((s for s in (command, "common", "DEFAULT") if cfg.has_option(s, key)), None)
-        if section is None:
-            continue
-        raw = cfg.get(section, key)
-        cast = _CONFIG_CASTS.get(action.dest, action.type)
-        try:
-            value = raw if cast is None else cast(raw)
-        except (ValueError, TypeError) as err:
-            raise ConfigError(f"{path}: [{section}] {key} = {raw!r}: {err}") from None
-        values["config_plans" if key == "plans" else action.dest] = value
-    subparsers[command].set_defaults(**values)
 
 
 def _atomic_write(path, text):
@@ -173,17 +79,6 @@ def _write_report(args, name, **fields):
     return path
 
 
-def _resolve_common(args):
-    """Check the options every subcommand takes; return the instance's file tag."""
-    if args.kind is None:
-        raise ConfigError("option 'kind' is required (flag or config)")
-    if args.kind not in problems.KINDS:
-        raise ConfigError(f"unknown kind {args.kind!r}; known kinds: {', '.join(problems.KINDS)}")
-    if args.profile not in ("desk", "paper"):
-        raise ConfigError(f"unknown profile {args.profile!r}; use 'desk' or 'paper'")
-    return _tag(args)
-
-
 # plan names whose step size needs the reference solution pair
 _ORACLE_PLANS = ("oracle", "pair", "asym-primal", "asym-dual")
 
@@ -192,16 +87,16 @@ def _parse_plan(token):
     """Split a plan token into its name and its numeric argument (1 when absent)."""
     name, _, arg = token.partition(":")
     if name not in ("fixed", "estimated") + _ORACLE_PLANS:
-        raise ConfigError(
+        raise ValueError(
             f"unknown plan {token!r}; use fixed[:gamma], estimated[:gamma0], "
             "oracle, pair[:beta], asym-primal[:beta], or asym-dual[:beta]"
         )
     if name == "oracle" and arg:
-        raise ConfigError(f"plan {token!r}: oracle takes no argument")
+        raise ValueError(f"plan {token!r}: oracle takes no argument")
     try:
         return name, float(arg) if arg else 1.0
     except ValueError as err:
-        raise ConfigError(f"plan {token!r}: {err}") from None
+        raise ValueError(f"plan {token!r}: {err}") from None
 
 
 def _realize_plan(token, name, value, instance, init_vec, args):
@@ -223,27 +118,17 @@ def _realize_plan(token, name, value, instance, init_vec, args):
             pair = tuner.asymptotic_pair(side, oracle.ax if side == "primal" else oracle.lam, value)
         return tuner.StepSizePlan.fixed(pair.gamma), pair.zeta0, f"{name}-{value:g}"
     except ValueError as err:
-        raise ConfigError(f"plan {token!r}: {err}") from None
-
-
-def _resolve_init(args, instance):
-    if args.init == "zero":
-        return None
-    if args.init == "structure":
-        return instance.structure_start()
-    raise ConfigError(f"unknown init {args.init!r}; use 'zero' or 'structure'")
+        raise ValueError(f"plan {token!r}: {err}") from None
 
 
 def _cmd_run(args):
-    tag = _resolve_common(args)
-    plans = args.plans or args.config_plans
-    if not plans:
-        raise ConfigError("at least one plan is required (--plan or config 'plans')")
+    tag = _tag(args)
+    plans = args.plans
     rule = TerminationRule(tol=args.tol, max_iter=args.max_iter)
     parsed = [_parse_plan(token) for token in plans]
 
     instance = problems.generate(args.kind, profile=args.profile, seed=args.seed)
-    init_vec = _resolve_init(args, instance)
+    init_vec = None if args.init == "zero" else instance.structure_start()
 
     # a zero-start fixed:1 plan is the first stretch of the oracle's reference
     # run: it is solved once, and the reference run resumes where it stopped
@@ -297,15 +182,15 @@ def _cmd_run(args):
 
 
 def _cmd_grid(args):
-    tag = _resolve_common(args)
+    tag = _tag(args)
     gamma_min, gamma_max, points = args.gamma_min, args.gamma_max, args.points
     rule = TerminationRule(tol=args.tol, max_iter=args.max_iter)
     if points < 1:
-        raise ConfigError(f"points must be at least 1, got {points}")
+        raise ValueError(f"points must be at least 1, got {points}")
     if not (math.isfinite(gamma_min) and math.isfinite(gamma_max)):
-        raise ConfigError(f"gamma-min and gamma-max must be finite, got {gamma_min} and {gamma_max}")
+        raise ValueError(f"gamma-min and gamma-max must be finite, got {gamma_min} and {gamma_max}")
     if not 0.0 < gamma_min <= gamma_max:
-        raise ConfigError(f"need 0 < gamma-min <= gamma-max, got {gamma_min} and {gamma_max}")
+        raise ValueError(f"need 0 < gamma-min <= gamma-max, got {gamma_min} and {gamma_max}")
 
     instance = problems.generate(args.kind, profile=args.profile, seed=args.seed)
     gammas = [float(g) for g in np.geomspace(gamma_min, gamma_max, points)]
@@ -349,7 +234,6 @@ def _cmd_grid(args):
 
 
 def _cmd_contradiction(args):
-    _resolve_common(args)
     instance = problems.generate(args.kind, profile=args.profile, seed=args.seed)
     oracle = problems.compute_oracle(instance)
     report = tuner.contradiction_demo(oracle.ax, oracle.lam)
@@ -364,7 +248,7 @@ def _cmd_contradiction(args):
 
 
 def _cmd_generate(args):
-    tag = _resolve_common(args)
+    tag = _tag(args)
     description = problems.generate_data(args.kind, profile=args.profile, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{tag}_instance.json")
@@ -374,10 +258,9 @@ def _cmd_generate(args):
 
 
 def _add_common(parser):
-    parser.add_argument("--config", help="INI config file; flags override it")
-    parser.add_argument("--kind", help=f"problem family: {', '.join(problems.KINDS)}")
-    parser.add_argument("--profile", default="desk",
-                        help="size profile: desk or paper (default %(default)s)")
+    parser.add_argument("--kind", required=True, choices=problems.KINDS, help="problem family")
+    parser.add_argument("--profile", default="desk", choices=("desk", "paper"),
+                        help="size profile (default %(default)s)")
     parser.add_argument("--seed", type=int, default=0, help="random seed (default %(default)s)")
     parser.add_argument("--out", default=".", help="output directory (default %(default)s)")
 
@@ -390,8 +273,12 @@ def _add_rule(parser, tol, strict_help):
     parser.add_argument("--strict", action="store_true", help=strict_help)
 
 
+@functools.cache
 def _build_parser():
-    """The ``admmtune`` parser and its subcommand parsers by name."""
+    """The ``admmtune`` parser and its subcommand parsers by name, built once per process.
+
+    Parsing leaves a parser as it was, so one serves every call.
+    """
     parser = argparse.ArgumentParser(
         prog=_PROG,
         description="benchmark a splitting solver under different step-size plans",
@@ -400,15 +287,14 @@ def _build_parser():
 
     p_run = sub.add_parser("run", help="solve one problem under one or more plans")
     _add_common(p_run)
-    p_run.add_argument("--plan", dest="plans", action="append", metavar="TOKEN",
+    p_run.add_argument("--plan", dest="plans", action="append", required=True, metavar="TOKEN",
                        help="fixed[:gamma], estimated[:gamma0], oracle, pair[:beta], "
                             "asym-primal[:beta], asym-dual[:beta]; repeatable")
     _add_rule(p_run, 1e-6, "exit 3 if any run fails to converge")
-    p_run.add_argument("--init", default="zero",
-                       help="start vector: zero or structure (default %(default)s)")
+    p_run.add_argument("--init", default="zero", choices=("zero", "structure"),
+                       help="start vector (default %(default)s)")
     p_run.add_argument("--freeze-after", type=int,
                        help="estimated plans: stop updating after this many sweeps")
-    p_run.set_defaults(config_plans=None)
 
     p_grid = sub.add_parser("grid", help="sweep fixed step sizes over a log grid")
     _add_common(p_grid)
@@ -428,27 +314,6 @@ def _build_parser():
     return parser, sub.choices
 
 
-@functools.cache
-def _plain_parser():
-    """The parser of every parse without a config file, built once per process.
-
-    Parsing leaves a parser as it was, so one serves every such call.
-    """
-    return _build_parser()[0]
-
-
-def _parse_args(argv):
-    """Parse ``argv``; with ``--config``, again over the file's values."""
-    args = _plain_parser().parse_args(argv)
-    if args.config is not None:
-        # the file's values become defaults of this parser alone, so that
-        # none reaches a later call
-        parser, subparsers = _build_parser()
-        _load_config(args.config, subparsers, args.command)
-        args = parser.parse_args(argv)
-    return args
-
-
 _COMMANDS = {
     "run": _cmd_run,
     "grid": _cmd_grid,
@@ -459,11 +324,11 @@ _COMMANDS = {
 
 def _dispatch(argv):
     try:
-        args = _parse_args(argv)
+        args = _build_parser()[0].parse_args(argv)
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ConfigError, ValueError) as err:
+    except ValueError as err:
         print(f"{_PROG}: {err}", file=sys.stderr)
         return 2
     except ArithmeticError as err:

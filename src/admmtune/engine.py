@@ -37,6 +37,17 @@ __all__ = [
     "solve",
 ]
 
+
+def _read_only_copy(M):
+    """A read-only float copy of ``M``, Fortran-ordered where ``M`` is and C-ordered elsewhere.
+
+    That is the layout ``M.dot`` runs its gemv on, so products round as on ``M``.
+    """
+    M = np.array(M, dtype=float, order="A")
+    M.setflags(write=False)
+    return M
+
+
 class ProblemSpec:
     """Data and oracles for one instance of the two-block problem.
 
@@ -55,7 +66,8 @@ class ProblemSpec:
         (m = p).
     c : ndarray or None
         Right-hand side, shape (p,).  None means zero.  A, B and c must be
-        finite (ValueError otherwise).
+        finite (ValueError otherwise).  The spec holds read-only copies of
+        them, so a later write to the caller's arrays does not reach it.
     p : int or None
         Constraint dimension; required only when none of A, B, c is given.
         The variable dimensions ``n`` and ``m`` are the column counts of A
@@ -72,9 +84,9 @@ class ProblemSpec:
         self.prox_f = prox_f
         self.prox_g = prox_g
         self.objective = objective
-        self.A = None if A is None else np.asarray(A, dtype=float)
-        self.B = None if B is None else np.asarray(B, dtype=float)
-        c = None if c is None else np.asarray(c, dtype=float).ravel()
+        self.A = None if A is None else _read_only_copy(A)
+        self.B = None if B is None else _read_only_copy(B)
+        c = None if c is None else np.ravel(c)
 
         p_candidates = {}
         if self.A is not None:
@@ -98,7 +110,7 @@ class ProblemSpec:
 
         self.n = self.p if self.A is None else self.A.shape[1]
         self.m = self.p if self.B is None else self.B.shape[1]
-        self.c = np.zeros(self.p) if c is None else c
+        self.c = _read_only_copy(np.zeros(self.p) if c is None else c)
         for name, M in (("A", self.A), ("B", self.B), ("c", self.c)):
             if M is not None:
                 _require_finite(name, M)

@@ -7,10 +7,10 @@ fixed documented order, then builds the split form
 
 from that data alone as a :class:`~admmtune.engine.ProblemSpec`.
 :func:`generate` runs both steps and wraps the spec in a
-:class:`ProblemInstance` together with the raw arrays; :func:`generate_data`
-runs only the draw, for exports that never solve.  Two size profiles are
-bundled: "desk" instances solve in seconds and back the test suite, "paper"
-instances are the full-size counterparts.
+:class:`ProblemInstance` together with the raw arrays, which it sets
+read-only; :func:`generate_data` runs only the draw, for exports that never
+solve.  Two size profiles are bundled: "desk" instances solve in seconds and
+back the test suite, "paper" instances are the full-size counterparts.
 
 The proximal maps are catalog handles (:func:`~admmtune.prox.catalog_prox`)
 behind two adapters from the engine's convention to the classical one.  lad
@@ -339,6 +339,7 @@ def _spec_lasso(dims, data, params):
         # the catalog's wide lstsq drops the image t = U^T A x of its
         # x-step, which the objective below reads instead of a pass over A
         atb = A.T @ b
+        atb.setflags(write=False)
         x_solve, ub = _wide_gram_solver(A, b)
         # the newest (x, t) pair, bound in one assignment so that no thread
         # reads one call's x with another call's t
@@ -519,6 +520,11 @@ def _draw(kind, dims, seed, params, profile):
             raise ValueError(f"unknown parameter {key!r} for kind {kind}; known: {sorted(merged)}")
         merged[key] = value
     data, params_out = _FAMILIES[kind][0](np.random.default_rng(seed), dims, merged)
+    # read-only without a copy, so that no write splits the data from the
+    # spec, the objective or a cached oracle built on it
+    for value in data.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
     return dims, data, params_out
 
 

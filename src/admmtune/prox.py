@@ -483,7 +483,13 @@ def catalog_prox(kind: str, **params) -> ProxHandle:
         - ``"huber"``: weight * sum_i huber_delta(z_i) with the quadratic
           zone |t| <= delta; params dim, delta (default 1), weight (default 1).
         - ``"tv_quad"``: 0.5 ||D z - target||^2 for the first-difference map
-          D; params n, target (default zero).
+          D; params n, target (default zero).  The zoo's tv does not use it:
+          its x-step solves the same ``(I + gamma D^T D) x = v`` from a
+          dense eigenbasis of ``D^T D``, which at n = 100, the size of both
+          tv profiles, took 7.4 us against 29.6 us for this FFT pair (BLAS
+          1 thread, fastest of 200 solves).  By n = 1000 the FFT wins, 65
+          against 706 us, and the dense basis costs O(n^2) memory, so both
+          stay.
         - ``"logdet_quad"``: trace(S Z) - logdet Z on flattened symmetric
           positive definite matrices; params n, S (default zero).
     **params

@@ -103,177 +103,56 @@ def test_run_estimated_flags_pass_through(tmp_path):
     assert len(gammas) > 1
 
 
-def test_config_file_layering(tmp_path):
-    out = tmp_path / "cfg"
-    config = tmp_path / "bench.ini"
-    config.write_text(
-        "[common]\n"
-        f"out = {out}\n"
-        "kind = qp\n"
-        "seed = 3\n"
-        "[run]\n"
-        "plans = fixed:2.0\n"
-        "tol = 1e-5\n"
-    )
-    assert run_cli(["run", "--config", str(config)]) == 0
-    summary = json.loads((out / "qp_desk_seed3_summary.json").read_text())
-    assert summary["tol"] == 1e-5
-
-    # explicit flags win over the file
-    assert run_cli(["run", "--config", str(config), "--seed", "4"]) == 0
-    assert (out / "qp_desk_seed4_summary.json").is_file()
+# a value for every option and the value it parses to, none of them its default
+_SAMPLES = {"kind": ("lasso", "lasso"), "profile": ("paper", "paper"), "seed": ("7", 7),
+            "out": ("elsewhere", "elsewhere"), "plans": ("pair:2", ["pair:2"]),
+            "tol": ("1e-05", 1e-05), "max_iter": ("77", 77), "init": ("structure", "structure"),
+            "freeze_after": ("9", 9), "strict": (None, True), "gamma_min": ("0.01", 0.01),
+            "gamma_max": ("20", 20.0), "points": ("5", 5)}
+# what fills a required option other than the one under test
+_REQUIRED = {"kind": ["--kind", "qp"], "plans": ["--plan", "fixed"]}
+_OPTIONS = [(command, action) for command, sub in cli._build_parser()[1].items()
+            for action in sub._actions if action.dest != "help"]
 
 
-def test_config_values_do_not_reach_a_later_call(tmp_path):
-    config = tmp_path / "loose.ini"
-    config.write_text("[run]\nkind = qp\nplans = fixed:2.0\ntol = 1e-3\n")
-    first, second = tmp_path / "first", tmp_path / "second"
-    assert run_cli(["run", "--config", str(config), "--out", str(first)]) == 0
-    assert json.loads((first / "qp_desk_seed0_summary.json").read_text())["tol"] == 1e-3
-    assert run_cli(["run", "--kind", "qp", "--plan", "fixed:2.0", "--out", str(second)]) == 0
-    assert json.loads((second / "qp_desk_seed0_summary.json").read_text())["tol"] == 1e-6
-    assert "1e-06" in (second / "qp_desk_seed0_summary.json").read_text()
+@pytest.mark.parametrize("command,action", _OPTIONS,
+                         ids=[f"{command}-{action.dest.replace('_', '-')}"
+                              for command, action in _OPTIONS])
+def test_config_key_parses_like_its_flag(command, action):
+    """Each long flag of each subcommand takes its sample to the namespace, converted.
 
-
-def test_config_default_section_is_the_lowest_layer(tmp_path):
-    # [DEFAULT] is read after [common], which is read after [run], whichever
-    # sections the file has
-    files = {
-        "alone": "[DEFAULT]\nkind = qp\nplans = fixed\n",
-        "under_common": "[DEFAULT]\nkind = qp\n[common]\nkind = lp\nplans = fixed\n",
-        "under_both": "[DEFAULT]\nkind = qp\nseed = 5\n[common]\nkind = lp\n"
-                      "[run]\nplans = fixed\nseed = 2\n",
-    }
-    for name, text in files.items():
-        config = tmp_path / f"{name}.ini"
-        config.write_text(text)
-        out = tmp_path / name
-        assert run_cli(["run", "--config", str(config), "--max-iter", "3", "--out", str(out)]) == 0
-        assert sorted(p.name for p in out.iterdir()) == {
-            "alone": ["qp_desk_seed0_fixed-1.csv", "qp_desk_seed0_summary.json"],
-            "under_common": ["lp_desk_seed0_fixed-1.csv", "lp_desk_seed0_summary.json"],
-            "under_both": ["lp_desk_seed2_fixed-1.csv", "lp_desk_seed2_summary.json"],
-        }[name], name
-
-
-def test_config_values_are_literal(tmp_path):
-    # '%' interpolates nothing: the directory is named as written
-    config = tmp_path / "bench.ini"
-    config.write_text(f"[common]\nkind = qp\nout = {tmp_path}/%(nope)s\n"
-                      "[run]\nplans = fixed\nmax-iter = 3\n")
-    assert run_cli(["run", "--config", str(config)]) == 0
-    assert (tmp_path / "%(nope)s" / "qp_desk_seed0_summary.json").is_file()
-
-
-# a value for every option, none of them its default
-_SAMPLES = {"kind": "lasso", "profile": "paper", "seed": "7", "out": "elsewhere",
-            "plans": "pair:2", "tol": "1e-05", "max_iter": "77", "init": "structure",
-            "freeze_after": "9",
-            "strict": "yes", "gamma_min": "0.01", "gamma_max": "20", "points": "5"}
-_OPTIONS = [(command, key, action) for command, sub in cli._build_parser()[1].items()
-            for key, action in cli._config_keys(sub).items()]
-
-
-def _parsed(argv):
-    """Parsed options, with config plans under ``plans`` and ``--config`` dropped."""
-    args = vars(cli._parse_args(argv))
-    del args["config"]
-    config_plans = args.pop("config_plans", None)
-    if config_plans:
-        args["plans"] = config_plans
-    return args
-
-
-@pytest.mark.parametrize("command,key,action", _OPTIONS,
-                         ids=[f"{command}-{key}" for command, key, _ in _OPTIONS])
-def test_config_key_parses_like_its_flag(tmp_path, command, key, action):
-    value = _SAMPLES[action.dest]
-    flag = action.option_strings[0]
-    config = tmp_path / "bench.ini"
-    config.write_text(f"[{command}]\n{key} = {value}\n")
-    from_flag = _parsed([command, flag] + ([] if action.nargs == 0 else [value]))
-    assert from_flag != _parsed([command])
-    assert _parsed([command, "--config", str(config)]) == from_flag
-
-
-def test_config_errors_exit_two(tmp_path, capsys):
-    missing = tmp_path / "nope.ini"
-    assert run_cli(["run", "--config", str(missing), "--kind", "qp",
-                    "--plan", "fixed:1"]) == 2
-    assert "config file not found" in capsys.readouterr().err
-
-    bad_section = tmp_path / "bad_section.ini"
-    bad_section.write_text("[mystery]\nkind = qp\n")
-    assert run_cli(["run", "--config", str(bad_section), "--kind", "qp",
-                    "--plan", "fixed:1"]) == 2
-    assert "unknown section" in capsys.readouterr().err
-
-    bad_value = tmp_path / "bad_value.ini"
-    bad_value.write_text("[common]\nkind = qp\n[run]\nplans = fixed:1\ntol = banana\n")
-    assert run_cli(["run", "--config", str(bad_value)]) == 2
-    assert "tol" in capsys.readouterr().err
-
-    bad_strict = tmp_path / "bad_strict.ini"
-    bad_strict.write_text("[run]\nkind = qp\nplans = fixed:1\nstrict = maybe\n")
-    assert run_cli(["run", "--config", str(bad_strict)]) == 2
-    assert "strict" in capsys.readouterr().err
-
-    headless = tmp_path / "headless.ini"
-    headless.write_text("kind = qp\n")
-    assert run_cli(["run", "--config", str(headless), "--plan", "fixed:1"]) == 2
-    assert str(headless) in capsys.readouterr().err
+    A flag with no sample fails here.  The name dates from the INI layer,
+    whose keys were these flags without ``--``.
+    """
+    raw, want = _SAMPLES[action.dest]
+    argv = [command]
+    for other in cli._build_parser()[1][command]._actions:
+        if other.required and other is not action:
+            argv += _REQUIRED[other.dest]
+    argv += [action.option_strings[0]] + ([] if raw is None else [raw])
+    got = getattr(cli._build_parser()[0].parse_args(argv), action.dest)
+    assert (got, type(got)) == (want, type(want))
+    assert got != action.default
 
 
 def test_config_unknown_keys_exit_two(tmp_path, capsys):
+    """``--config`` and the flags of removed options exit 2, name the flag and write nothing."""
     out = tmp_path / "never"
-    typo = tmp_path / "typo.ini"
-    typo.write_text(f"[common]\nkind = qp\nout = {out}\n[run]\nplans = fixed:1\ntolerance = 1e-300\n")
-    assert run_cli(["run", "--config", str(typo)]) == 2
-    err = capsys.readouterr().err
-    assert str(typo) in err and "[run]" in err and "'tolerance'" in err
+    cases = [
+        (["grid", "--kind", "qp", "--points", "2"], ["--jobs", "2"]),
+        # the solver is the half-averaged map: no flag sets a relaxation weight
+        (["run", "--kind", "qp", "--plan", "fixed"], ["--theta", "0.4"]),
+        (["grid", "--kind", "qp"], ["--theta", "0.4"]),
+        # an estimated plan adopts every new estimate: no flag sets an update threshold
+        (["run", "--kind", "qp", "--plan", "estimated"], ["--update-threshold", "0.05"]),
+        # every key of the INI file had a flag, which is all that is left
+        (["run", "--kind", "qp", "--plan", "fixed"], ["--config", "bench.ini"]),
+        (["grid", "--kind", "qp"], ["--config", "bench.ini"]),
+    ]
+    for argv, removed in cases:
+        assert run_cli(argv + ["--out", str(out)] + removed) == 2, removed
+        assert removed[0] in capsys.readouterr().err
     assert not out.exists()
-
-    stale = tmp_path / "stale.ini"
-    stale.write_text(f"[common]\nkind = qp\nout = {out}\n[grid]\npoints = 2\njobs = 4\n")
-    assert run_cli(["grid", "--config", str(stale)]) == 2
-    err = capsys.readouterr().err
-    assert str(stale) in err and "[grid]" in err and "'jobs'" in err
-    assert run_cli(["grid", "--kind", "qp", "--points", "2", "--jobs", "2", "--out", str(out)]) == 2
-    assert "--jobs" in capsys.readouterr().err
-    assert not out.exists()
-
-    # the solver is the half-averaged map: no flag or key sets a relaxation weight
-    for argv, section in ((["run", "--plan", "fixed"], "run"), (["grid"], "common")):
-        argv = argv + ["--kind", "qp", "--out", str(out)]
-        assert run_cli(argv + ["--theta", "0.4"]) == 2
-        assert "--theta" in capsys.readouterr().err
-        relaxed = tmp_path / "relaxed.ini"
-        relaxed.write_text(f"[{section}]\ntheta = 0.4\n")
-        assert run_cli(argv + ["--config", str(relaxed)]) == 2
-        err = capsys.readouterr().err
-        assert str(relaxed) in err and f"[{section}]" in err and "'theta'" in err
-    assert not out.exists()
-
-    # an estimated plan adopts every new estimate: no flag or key sets an update threshold
-    argv = ["run", "--kind", "qp", "--plan", "estimated", "--out", str(out)]
-    assert run_cli(argv + ["--update-threshold", "0.05"]) == 2
-    assert "--update-threshold" in capsys.readouterr().err
-    thresholded = tmp_path / "thresholded.ini"
-    thresholded.write_text("[run]\nupdate-threshold = 0.05\n")
-    assert run_cli(argv + ["--config", str(thresholded)]) == 2
-    err = capsys.readouterr().err
-    assert str(thresholded) in err and "[run] unknown key 'update-threshold'" in err
-    assert not out.exists()
-
-    # a [common] key is valid when any subcommand takes it, and a key of one
-    # subcommand is not valid in another's section
-    shared = tmp_path / "shared.ini"
-    shared.write_text(f"[common]\nkind = qp\nout = {out}\npoints = 2\n[run]\nplans = fixed:1\n")
-    assert run_cli(["run", "--config", str(shared)]) == 0
-    misplaced = tmp_path / "misplaced.ini"
-    misplaced.write_text("[run]\nkind = qp\nplans = fixed:1\npoints = 2\n")
-    assert run_cli(["run", "--config", str(misplaced), "--out", str(out)]) == 2
-    assert "'points'" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
@@ -282,7 +161,8 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert "required" in capsys.readouterr().err
 
     assert run_cli(["run", "--kind", "marsh", "--plan", "fixed:1", "--out", out]) == 2
-    assert "unknown kind" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--kind" in err and "'marsh'" in err
 
     assert run_cli(["run", "--kind", "qp", "--out", out]) == 2
     assert "plan" in capsys.readouterr().err
@@ -380,14 +260,6 @@ def test_closed_stdout_pipe_exits_141_without_a_traceback(tmp_path, unbuffered):
         os.close(write_end)
     assert (done.returncode, done.stderr) == (141, "")
     assert (tmp_path / "qp_desk_seed0_instance.json").is_file()
-
-
-@pytest.mark.parametrize("value, code", [("off", 0), ("on", 3)])
-def test_config_strict_turns_nonconvergence_into_exit_three(tmp_path, value, code):
-    config = tmp_path / "strict.ini"
-    config.write_text(f"[run]\nkind = lasso\nplans = fixed:1e-3\nmax-iter = 5\n"
-                      f"out = {tmp_path / 'strict'}\nstrict = {value}\n")
-    assert run_cli(["run", "--config", str(config)]) == code
 
 
 def test_grid_outputs(tmp_path):

@@ -53,6 +53,22 @@ def test_constraint_maps_must_be_matrices(maps, message):
         ProblemSpec(prox_f=None, prox_g=None, **maps)
 
 
+def test_spec_holds_read_only_copies_of_its_maps():
+    A, B, c = np.eye(3)[:, :2], -np.eye(3), np.arange(3.0)
+    fortran = np.asfortranarray(np.ones((3, 2)) + np.eye(3, 2))
+    spec = ProblemSpec(prox_f=None, prox_g=None, A=A, B=B, c=c)
+    for name, held, given in (("A", spec.A, A), ("B", spec.B, B), ("c", spec.c, c)):
+        assert not np.shares_memory(held, given), name
+        with pytest.raises(ValueError, match="read-only"):
+            held[...] = 5.0
+        given[...] = 5.0
+        assert not np.any(held == 5.0), name
+    # the layout M.dot runs its gemv on: Fortran stays Fortran, a strided view goes C
+    assert ProblemSpec(prox_f=None, prox_g=None, A=fortran).A.flags.f_contiguous
+    assert ProblemSpec(prox_f=None, prox_g=None, A=fortran[:, ::-1]).A.flags.c_contiguous
+    assert not small_spec().c.flags.writeable
+
+
 def test_rank_check_toggle():
     deficient = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
     with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from admmtune import (
 )
 
 from conftest import ACCEPT_SEEDS, apply_A, apply_B
+from test_prox import _held_arrays
 from test_trajectory import SNAPSHOT
 
 
@@ -32,6 +33,21 @@ def test_generation_is_deterministic():
         assert np.array_equal(np.asarray(a.data[key]), np.asarray(b.data[key])), key
     c = generate("lasso", profile="desk", seed=4)
     assert not np.array_equal(a.data["A"], c.data["A"])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_instance_data_and_spec_maps_are_read_only(kind):
+    # a write would split the data from the spec, the objective and the cached oracle
+    inst = generate(kind, profile="desk", seed=ACCEPT_SEEDS[kind])
+    spec = inst.spec
+    data = [value for value in inst.data.values() if isinstance(value, np.ndarray)]
+    maps = [M for M in (spec.A, spec.B, spec.c) if M is not None]
+    for M in maps:
+        assert not any(np.shares_memory(M, arr) for arr in data)
+    held = [arr for fn in (spec.prox_f, spec.prox_g, spec.objective) for arr in _held_arrays(fn)]
+    for arr in data + maps + held:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] += 1.0
 
 
 def test_generate_validation():
@@ -437,9 +453,10 @@ def test_tall_lasso_polishes():
 def _lasso_with_a_repeated_column():
     """The desk lasso with the column of its first planted entry copied over the next column."""
     inst = generate("lasso", profile="desk", seed=ACCEPT_SEEDS["lasso"])
-    A = inst.data["A"]
+    A = inst.data["A"].copy()
     i = int(np.flatnonzero(inst.data["x_true"])[0])
     A[:, i + 1] = A[:, i]
+    inst.data["A"] = A
     inst.spec = at.problems._FAMILIES["lasso"][1](inst.dims, inst.data, inst.params)
     return inst, i
 
