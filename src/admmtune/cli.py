@@ -14,12 +14,13 @@ summaries carry ``"schema": 1`` and the wall times.
 
 Exit codes: 0 success, 2 usage errors, 3 when ``--strict`` is set and some
 run failed to converge, 4 when a solve fails numerically (a non-finite
-iterate, a stalled reference run, or a quartic whose every root is
-refused), with one ``admmtune: ...`` line on stderr.  When the reader of
-stdout closes early, as ``| head -1`` does, the exit code is 141 (128 +
-SIGPIPE, what a shell reports for a writer that a closed pipe ends): the
-command stops at the first write that finds the pipe closed, so the files it
-would write after that are missing, and it prints no traceback.
+iterate, a stalled reference run, an estimated step size of 0 or inf, or a
+quartic whose every root is refused), with one ``admmtune: ...`` line on
+stderr.  When the reader of stdout closes early, as ``| head -1`` does, the
+exit code is 141 (128 + SIGPIPE, what a shell reports for a writer that a
+closed pipe ends): the command stops at the first write that finds the pipe
+closed, so the files it would write after that are missing, and it prints
+no traceback.
 """
 
 from __future__ import annotations

@@ -10,9 +10,11 @@ penalty ``gamma`` and a dual ascent step:
 Internally the loop iterates the equivalent fixed-point map on the scaled
 vector ``sigma = A x + lam/gamma``; the unscaled counterpart
 ``zeta = sqrt(gamma) A x + lam/sqrt(gamma)`` is what step-size selection
-reasons about, and recorded residues are distances between consecutive
-unscaled vectors.  That map is the Douglas-Rachford map averaged at 1/2,
-whose iterates the alternating scheme above traces exactly.
+reasons about.  That map is the Douglas-Rachford map averaged at 1/2, whose
+iterates the alternating scheme above traces exactly.  Its step between
+consecutive unscaled vectors is ``sqrt(gamma) (A x + B z - c)``, so the
+recorded residue, the distance between them, is ``sqrt(gamma)`` times the
+infeasibility ``||A x + B z - c||``.
 """
 
 from __future__ import annotations
@@ -158,9 +160,10 @@ class RunRecord:
 
     ``rows`` holds one tuple ``(k, gamma, residue, objective, infeasibility)``
     per sweep, with k starting at 1 and strictly increasing.  The residue is
-    the unscaled fixed-point gap; within a block of consecutive rows sharing
-    one gamma it is non-increasing.  ``iterations_to_tol`` is the first k at
-    or below the tolerance, None if never reached.
+    the unscaled fixed-point gap ``sqrt(gamma) ||A x + B z - c||``, which is
+    sqrt(gamma) times the infeasibility; within a block of consecutive rows
+    sharing one gamma it is non-increasing.  ``iterations_to_tol`` is the
+    first k at or below the tolerance, None if never reached.
     """
 
     plan: str
@@ -192,8 +195,8 @@ def _drs_sweep(spec):
     """The half-averaged fixed-point sweep of ``spec`` as ``sweep(sigma, gamma)``.
 
     ``sweep`` returns ``(sigma_new, x, z, y_half, y_one, gap)`` with
-    ``gap = y_one - y_half``, which both the update of the scaled vector and
-    the infeasibility column read.
+    ``gap = y_one - y_half``, which the update of the scaled vector reads and
+    whose norm is the residue and the infeasibility column.
     """
     prox_f, prox_g, A, B, c = spec.prox_f, spec.prox_g, spec.A, spec.B, spec.c
     # B = None is minus the identity: c - (-z) is c + z in IEEE arithmetic,
@@ -256,10 +259,11 @@ def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
         immediately after 0 sweeps with an empty history.
     columns : bool, keyword-only
         When True (default) each row carries the objective and the
-        infeasibility ``||A x + B z - c||``.  When False both are recorded as
-        nan and ``spec.objective`` is never called; residues, iterates and
+        infeasibility ``||A x + B z - c||``; the residue is sqrt(gamma) times
+        the infeasibility either way.  When False both columns are recorded
+        as nan and ``spec.objective`` is never called; residues, iterates and
         step sizes keep every bit.  A caller that reads only the iterates,
-        such as a reference run, saves their cost.
+        such as a reference run, saves the objective's cost.
 
     Returns
     -------
@@ -283,13 +287,14 @@ def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
     # tol = inf is met by the start itself: no sweep runs
     iterations_to_tol = 0 if math.isinf(rule.tol) else None
     max_iter = 0 if math.isinf(rule.tol) else rule.max_iter
-    # the estimator reads one state per run, refreshed in place each sweep
     state = SolverState(ax=None, lam=None, gamma=gamma) if plan.mode == _tuner.ESTIMATED else None
     sweep = _drs_sweep(spec)
-    objective, tol = spec.objective, rule.tol
+    objective, tol = (spec.objective if columns else None), rule.tol
     sigma_new = sigma
     for k in range(1, max_iter + 1):
         if state is not None and k >= 2:
+            # the estimator reads lam; other plans form it once, after the loop
+            lam = gamma * (sigma - y_half)
             state.ax, state.lam, state.gamma, state.k = ax, lam, gamma, k - 1
             new_gamma = _tuner.estimate_step(state, plan)
             if new_gamma != gamma:
@@ -298,29 +303,24 @@ def solve(spec: ProblemSpec, plan, init=None, rule: TerminationRule = None,
                 sigma_new = ax + lam / gamma
         sigma = sigma_new
         sigma_new, x, z, y_half, ax, gap = sweep(sigma, gamma)
-        # sigma is finite, so a non-finite entry of sigma_new makes step_norm
-        # non-finite: the full scan is needed only then (an overflowing norm
-        # of finite entries is recorded as an infinite residue)
-        step = sigma_new - sigma
-        # ndarray.dot is the ddot of ``@`` without the ufunc dispatch
-        step_norm = math.sqrt(step.dot(step))
-        if not math.isfinite(step_norm) and not np.all(np.isfinite(sigma_new)):
+        # gap = A x + B z - c is sigma_new - sigma before rounding: one norm
+        # is the residue, the infeasibility column and the finiteness test.
+        # A finite norm bounds each gap entry by sqrt(max float), below half
+        # an ulp of the largest float, so sigma + gap is finite where sigma
+        # is.  A rescaled sigma is finite (estimate_step's step lies in
+        # (0, inf)); only the start, scaled by 1/sqrt(gamma), can overflow,
+        # so the first sweep is always scanned.  ndarray.dot skips @'s dispatch
+        gap_norm = math.sqrt(gap.dot(gap))
+        if (k == 1 or not math.isfinite(gap_norm)) and not np.all(np.isfinite(sigma_new)):
             raise ArithmeticError(f"non-finite iterate at sweep {k}")
-        residue = rg * step_norm
-        if state is not None:
-            # the estimator reads lam before the next sweep; other plans
-            # form it once, after the loop
-            lam = gamma * (sigma - y_half)
-        if not columns:
-            rows.append((k, gamma, residue, math.nan, math.nan))
-        else:
-            rows.append((k, gamma, residue,
-                         math.nan if objective is None else float(objective(x, z)),
-                         math.sqrt(gap.dot(gap))))
+        residue = rg * gap_norm
+        rows.append((k, gamma, residue,
+                     math.nan if objective is None else float(objective(x, z)),
+                     gap_norm if columns else math.nan))
         if residue <= tol:
             iterations_to_tol = k
             break
-    if rows and state is None:
+    if rows:
         lam = gamma * (sigma - y_half)
 
     return RunRecord(

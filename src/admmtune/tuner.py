@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quartic
-from .quartic import _finite_coefficient, build_coefficients
+from .quartic import _finite_coefficient, _require_finite, build_coefficients
 
 __all__ = [
     "FIXED",
@@ -256,6 +256,9 @@ def estimate_step(state, plan: StepSizePlan) -> float:
     ValueError
         If ``||A x||^2`` or ``||lam||^2`` is not finite (an overflowing or
         non-finite iterate).
+    ArithmeticError
+        If the estimate is not in (0, inf): the ratio of the two squared
+        norms underflows or overflows, and ``solve`` could not rescale by it.
     """
     if plan.mode != ESTIMATED:
         raise ValueError(f"estimate_step needs an ESTIMATED plan, got mode {plan.mode!r}")
@@ -283,7 +286,10 @@ def estimate_step(state, plan: StepSizePlan) -> float:
         return current
     # the biquadratic root (-e/a)**(1/4), with the bits solve_quartic returns
     alpha = (lam2 / ax2) ** 0.25
-    return alpha * alpha
+    gamma = alpha * alpha
+    if not 0.0 < gamma < math.inf:
+        raise ArithmeticError(f"estimated step size {gamma} is not positive and finite")
+    return gamma
 
 
 def optimal_pair(ax_star, lambda_star, beta: float) -> OptimalPair:
@@ -301,6 +307,8 @@ def optimal_pair(ax_star, lambda_star, beta: float) -> OptimalPair:
     lam = np.asarray(lambda_star, dtype=float).ravel()
     if ax.shape != lam.shape:
         raise ValueError(f"ax_star and lambda_star must have matching sizes, got {ax.size} and {lam.size}")
+    _require_finite("ax_star", ax)
+    _require_finite("lambda_star", lam)
     return OptimalPair(beta=beta, zeta0=beta * ax + lam / beta, gamma=beta * beta)
 
 
@@ -324,6 +332,7 @@ def asymptotic_pair(side: str, vector, beta: float) -> OptimalPair:
     if not (math.isfinite(beta) and beta > 0.0):
         raise ValueError(f"beta must be positive and finite, got {beta}")
     v = np.asarray(vector, dtype=float).ravel()
+    _require_finite("vector", v)
     if side == "primal":
         return OptimalPair(beta=beta, zeta0=beta * v, gamma=beta * beta)
     if side == "dual":

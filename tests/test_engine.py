@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,41 @@ def test_solve_records_overflowing_residue_of_finite_iterates():
     rec = solve(spec, StepSizePlan.fixed(1.0), rule=TerminationRule(max_iter=3))
     assert rec.iterations == 3 and not rec.converged
     assert all(np.isinf(row[2]) for row in rec.rows)
+    assert np.all(np.isfinite(rec.zeta_unscaled))
+
+
+def _box_spec(f_bound, g_bound, p=3):
+    """Box proxes on both sides with A, B and c the defaults: gap = x - z."""
+    fh = catalog_prox("box", dim=p, lower=-f_bound, upper=f_bound)
+    gh = catalog_prox("box", dim=p, lower=-g_bound, upper=g_bound)
+    return ProblemSpec(prox_f=fh.evaluate, prox_g=gh.evaluate, p=p)
+
+
+@pytest.mark.parametrize("kind", at.KINDS)
+@pytest.mark.parametrize("plan", [StepSizePlan.fixed(1.0), StepSizePlan.estimated()], ids=["fixed", "estimated"])
+def test_residue_is_sqrt_gamma_times_infeasibility(desk, kind, plan):
+    # the step between unscaled fixed-point vectors is sqrt(gamma) (A x + B z - c)
+    rec = solve(desk(kind).spec, plan)
+    assert rec.converged
+    for k, gamma, residue, _, infeasibility in rec.rows:
+        assert residue == math.sqrt(gamma) * infeasibility, k
+
+
+def test_start_that_overflows_its_scaling_raises_at_sweep_one():
+    # zeta0 / sqrt(1e-300) is inf; the clipped iterates leave a finite gap
+    spec = _box_spec(1.0, 2.0)
+    with pytest.raises(ArithmeticError, match="non-finite iterate at sweep 1"):
+        solve(spec, StepSizePlan.fixed(1e-300), init=np.full(3, 1e300))
+
+
+def test_sigma_near_the_largest_float_keeps_a_finite_row():
+    # sigma + gap stays finite: a finite gap is far below half an ulp of sigma
+    big = np.finfo(float).max
+    rec = solve(_box_spec(2.0, 1.0), StepSizePlan.fixed(1.0), init=np.full(3, big),
+                rule=TerminationRule(max_iter=3))
+    assert rec.iterations == 3 and not rec.converged
+    # x = -2 and z = -1 in every entry, so each row reads a gap of norm sqrt(3)
+    assert all(row[2] == row[4] == math.sqrt(3.0) for row in rec.rows)
     assert np.all(np.isfinite(rec.zeta_unscaled))
 
 

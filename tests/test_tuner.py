@@ -113,6 +113,15 @@ _ONES = np.ones(3)
                  "gamma must be positive and finite", id="asymptotic-gamma-underflows"),
     pytest.param(lambda: optimal_pair(_ONES, np.ones(4), 1.0),
                  "matching sizes, got 3 and 4", id="mismatched-sizes"),
+    # the messages gamma_general gives for the same pair
+    pytest.param(lambda: optimal_pair([np.inf, 1.0], [1.0, 1.0], 1.0),
+                 "ax_star must be finite", id="infinite-ax-star"),
+    pytest.param(lambda: optimal_pair([1.0, 1.0], [1.0, np.nan], 1.0),
+                 "lambda_star must be finite", id="nan-lambda-star"),
+    pytest.param(lambda: asymptotic_pair("primal", [1.0, -np.inf], 1.0),
+                 "vector must be finite", id="asymptotic-infinite-vector"),
+    pytest.param(lambda: asymptotic_pair("dual", [np.nan, 1.0], 1.0),
+                 "vector must be finite", id="asymptotic-nan-vector"),
 ])
 def test_pairs_reject_bad_input(build, message):
     with pytest.raises(ValueError, match=message):
@@ -298,6 +307,21 @@ def test_estimate_step_overflowing_iterates_raise():
         big = SolverState(ax=np.ones(4), lam=np.full(4, 1e200), gamma=1.0, k=2)
         with pytest.raises(ValueError, match="coefficient e must be finite, got -inf"):
             estimate_step(big, plan)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("ax, lam, estimate", [
+    # ||lam||^2 / ||A x||^2 = 1e-324 underflows to 0, and its mirror overflows
+    pytest.param(1e150, 1e-12, 0.0, id="underflow"),
+    pytest.param(1e-12, 1e150, np.inf, id="overflow"),
+])
+def test_estimate_step_refuses_a_step_outside_zero_to_inf(ax, lam, estimate):
+    # solve would rescale by the step: lam / 0 or lam / inf
+    state = SolverState(ax=np.full(4, ax), lam=np.full(4, lam), gamma=1.0, k=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ArithmeticError, match=f"estimated step size {estimate} is not positive and finite"):
+            estimate_step(state, StepSizePlan.estimated())
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
