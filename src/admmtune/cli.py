@@ -112,20 +112,26 @@ def _realize_plan(token, name, value, instance, init_vec, args):
         if name == "oracle":
             gamma = tuner.gamma_general(oracle.ax, oracle.lam, init_vec)
             return tuner.StepSizePlan.fixed(gamma), init_vec, "oracle"
-        if name == "pair":
-            pair = tuner.optimal_pair(oracle.ax, oracle.lam, value)
-        else:
-            side = "primal" if name.endswith("primal") else "dual"
-            pair = tuner.asymptotic_pair(side, oracle.ax if side == "primal" else oracle.lam, value)
+        # the one-sided starts are the matched start with the other side zero
+        ax = np.zeros_like(oracle.ax) if name == "asym-dual" else oracle.ax
+        lam = np.zeros_like(oracle.lam) if name == "asym-primal" else oracle.lam
+        pair = tuner.optimal_pair(ax, lam, value)
         return tuner.StepSizePlan.fixed(pair.gamma), pair.zeta0, f"{name}-{value:g}"
     except ValueError as err:
         raise ValueError(f"plan {token!r}: {err}") from None
 
 
+def _rule(args):
+    """The command's TerminationRule; a non-finite tol, which JSON cannot write, is a usage error."""
+    if not math.isfinite(args.tol):
+        raise ValueError(f"tol must be finite, got {args.tol}")
+    return TerminationRule(tol=args.tol, max_iter=args.max_iter)
+
+
 def _cmd_run(args):
     tag = _tag(args)
     plans = args.plans
-    rule = TerminationRule(tol=args.tol, max_iter=args.max_iter)
+    rule = _rule(args)
     parsed = [_parse_plan(token) for token in plans]
 
     instance = problems.generate(args.kind, profile=args.profile, seed=args.seed)
@@ -185,7 +191,7 @@ def _cmd_run(args):
 def _cmd_grid(args):
     tag = _tag(args)
     gamma_min, gamma_max, points = args.gamma_min, args.gamma_max, args.points
-    rule = TerminationRule(tol=args.tol, max_iter=args.max_iter)
+    rule = _rule(args)
     if points < 1:
         raise ValueError(f"points must be at least 1, got {points}")
     if not (math.isfinite(gamma_min) and math.isfinite(gamma_max)):

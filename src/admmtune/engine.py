@@ -150,8 +150,7 @@ class TerminationRule:
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive (inf allowed), got {self.tol}")
-        if isinstance(self.max_iter, bool) or not (isinstance(self.max_iter, int) and self.max_iter >= 0):
-            raise ValueError(f"max_iter must be a nonnegative integer (not a bool), got {self.max_iter!r}")
+        _tuner._check_count("max_iter", self.max_iter)
 
 
 @dataclass

@@ -281,6 +281,9 @@ def _entry_box(dim, lower, upper):
     # written so that a NaN bound fails; infinite bounds pass
     if not np.all(lo <= hi):
         raise ValueError("box bounds must satisfy lower <= upper elementwise")
+    # lower = upper = +inf (or -inf) passes the order check but holds no real point
+    if np.any(lo == np.inf) or np.any(hi == -np.inf):
+        raise ValueError("box lower bounds must be below +inf and upper bounds above -inf")
     lo.setflags(write=False)
     hi.setflags(write=False)
 
@@ -391,10 +394,11 @@ def _entry_lstsq(A, b):
 def _entry_huber(dim, delta=1.0, weight=1.0):
     delta = float(delta)
     weight = float(weight)
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    if not weight >= 0.0:
-        raise ValueError(f"weight must be nonnegative, got {weight}")
+    # an infinite delta or weight makes inf * 0 in the linear branch at v = 0
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
+    if not 0.0 <= weight < np.inf:
+        raise ValueError(f"weight must be nonnegative and finite, got {weight}")
 
     def evaluate(v, gamma):
         t = gamma * weight
@@ -513,9 +517,10 @@ def catalog_prox(kind: str, **params) -> ProxHandle:
     ------
     ValueError
         For an unknown kind or parameters of the wrong shape, sign or rank,
-        for a NaN weight, delta or box bound, and, before any
-        decomposition, for data A, b, P, q, S or target holding NaN or inf
-        (box bounds may be infinite).
+        for a NaN weight, delta or box bound, an infinite huber delta or
+        weight, a box lower bound of +inf or upper bound of -inf, and,
+        before any decomposition, for data A, b, P, q, S or target holding
+        NaN or inf (a box may be unbounded: -inf below, +inf above).
     """
     try:
         builder = _CATALOG[kind]

@@ -48,7 +48,8 @@ class QuarticCoefficients:
 
     The ``alpha**2`` coefficient is identically zero for this family.
     ``a`` is the squared norm of the optimal primal image and ``-e`` the
-    squared norm of the optimal multiplier, so ``a >= 0 >= e`` always.
+    squared norm of the optimal multiplier.  Only ``a > 0 > e`` is admitted:
+    then p(0) < 0 and p grows like a*alpha**4, so a positive root exists.
 
     Attributes
     ----------
@@ -66,10 +67,10 @@ class QuarticCoefficients:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValueError(f"coefficient {name} must be finite, got {v!r}")
-        if self.a < 0.0:
-            raise ValueError(f"coefficient a must be nonnegative, got {self.a}")
-        if self.e > 0.0:
-            raise ValueError(f"coefficient e must be nonpositive, got {self.e}")
+        if not self.a > 0.0:
+            raise ValueError(f"coefficient a must be positive, got {self.a}")
+        if not self.e < 0.0:
+            raise ValueError(f"coefficient e must be negative, got {self.e}")
 
     def poly(self, alpha: float) -> float:
         """Evaluate p(alpha)."""
@@ -106,6 +107,19 @@ def _finite_coefficient(name, value):
     return value
 
 
+def _solution_pair(ax_star, lambda_star):
+    """``ax_star`` and ``lambda_star`` as flat float arrays; ValueError unless equal-sized and finite."""
+    ax = np.asarray(ax_star, dtype=float).ravel()
+    lam = np.asarray(lambda_star, dtype=float).ravel()
+    if ax.shape != lam.shape:
+        raise ValueError(
+            f"ax_star and lambda_star must have matching sizes, got {ax.size} and {lam.size}"
+        )
+    _require_finite("ax_star", ax)
+    _require_finite("lambda_star", lam)
+    return ax, lam
+
+
 def build_coefficients(ax_star, lambda_star, zeta0=None) -> QuarticCoefficients:
     """Assemble the quartic for a given solution pair and starting point.
 
@@ -134,14 +148,11 @@ def build_coefficients(ax_star, lambda_star, zeta0=None) -> QuarticCoefficients:
     DegenerateProblemError
         If ``ax_star`` or ``lambda_star`` is numerically zero.
     """
-    ax = np.asarray(ax_star, dtype=float).ravel()
-    lam = np.asarray(lambda_star, dtype=float).ravel()
-    if ax.shape != lam.shape:
-        raise ValueError(
-            f"ax_star and lambda_star must have matching sizes, got {ax.size} and {lam.size}"
-        )
-    _require_finite("ax_star", ax)
-    _require_finite("lambda_star", lam)
+    return _pair_coefficients(*_solution_pair(ax_star, lambda_star), zeta0)
+
+
+def _pair_coefficients(ax, lam, zeta0):
+    """``build_coefficients`` for a pair that ``_solution_pair`` returned."""
     # np.vdot raises no floating-point flag, so an overflowing inner product
     # is reported here as the coefficient it makes, never as a numpy warning
     a = _finite_coefficient("a", np.vdot(ax, ax))
@@ -238,8 +249,8 @@ def solve_quartic(coefficients: QuarticCoefficients) -> float:
     Parameters
     ----------
     coefficients : QuarticCoefficients
-        Must have ``a > 0`` and ``e < 0``, which guarantees at least one
-        positive real root (p(0) < 0 and p grows like a*alpha**4).
+        Has ``a > 0`` and ``e < 0`` by construction, which guarantees at
+        least one positive real root.
 
     Returns
     -------
@@ -252,16 +263,10 @@ def solve_quartic(coefficients: QuarticCoefficients) -> float:
 
     Raises
     ------
-    ValueError
-        If the sign conditions on a and e fail.
     ArithmeticError
         If no positive real root passes the residual check.
     """
     c = coefficients
-    if not c.a > 0.0:
-        raise ValueError(f"solve_quartic requires a > 0, got a={c.a}")
-    if not c.e < 0.0:
-        raise ValueError(f"solve_quartic requires e < 0, got e={c.e}")
     if c.b == 0.0 and c.d == 0.0:
         # biquadratic case a*alpha**4 + e: the radical formulas divide by zero here
         return (-c.e / c.a) ** 0.25

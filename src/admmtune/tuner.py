@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quartic
-from .quartic import _finite_coefficient, _require_finite, build_coefficients
+from .quartic import _finite_coefficient, _pair_coefficients, _solution_pair, build_coefficients
 
 __all__ = [
     "FIXED",
@@ -30,7 +30,6 @@ __all__ = [
     "gamma_general",
     "estimate_step",
     "optimal_pair",
-    "asymptotic_pair",
     "ContradictionReport",
     "contradiction_demo",
 ]
@@ -41,6 +40,12 @@ ESTIMATED = "estimated"
 # iterate norms below this are treated as still-degenerate; keep the old gamma
 _DEGENERATE_NORM = 1e-12
 _FLOAT = np.dtype(float)
+
+
+def _check_count(name, value):
+    """Raise ValueError unless ``value`` is a nonnegative integer, Python or numpy, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer (not a bool), got {value!r}")
 
 
 def _check_gamma(name, value):
@@ -79,9 +84,8 @@ class StepSizePlan:
         if self.mode not in (FIXED, ESTIMATED):
             raise ValueError(f"unknown plan mode {self.mode!r}")
         _check_gamma("gamma0", self.gamma0)
-        f = self.freeze_after
-        if f is not None and (isinstance(f, bool) or not isinstance(f, (int, np.integer)) or f < 0):
-            raise ValueError(f"freeze_after must be a nonnegative integer, got {f!r}")
+        if self.freeze_after is not None:
+            _check_count("freeze_after", self.freeze_after)
 
     @classmethod
     def fixed(cls, gamma: float) -> "StepSizePlan":
@@ -98,26 +102,31 @@ class StepSizePlan:
         return f"estimated(gamma0={self.gamma0:.6g}{frozen})"
 
 
+def _check_beta(beta):
+    """Raise ValueError unless ``beta`` and the step size ``beta**2`` are positive and finite."""
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise ValueError(f"beta must be positive and finite, got {beta}")
+    if not 0.0 < beta * beta < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {beta * beta}")
+
+
 @dataclass(frozen=True)
 class OptimalPair:
     """A start vector and step size that give one-sweep convergence.
 
-    ``zeta0`` is the unscaled fixed-point vector to start from and ``gamma``
-    always equals ``beta**2``.
+    ``zeta0`` is the unscaled fixed-point vector to start from and the step
+    size ``gamma`` is ``beta**2``.
     """
 
     beta: float
     zeta0: np.ndarray
-    gamma: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.beta) and self.beta > 0.0):
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
-        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
-        # written so that a NaN gap fails
-        if not abs(self.gamma - self.beta * self.beta) <= 1e-12 * self.gamma:
-            raise ValueError("gamma must equal beta**2")
+        _check_beta(self.beta)
+
+    @property
+    def gamma(self) -> float:
+        return self.beta * self.beta
 
 
 def gamma_zero_init(ax_star, lambda_star) -> float:
@@ -196,9 +205,8 @@ def contradiction_demo(ax_star, lambda_star, zeta0=None) -> ContradictionReport:
     start, None for the zero vector; their sizes and entries are checked as
     ``build_coefficients`` checks them.
     """
-    ax = np.asarray(ax_star, dtype=float).ravel()
-    lam = np.asarray(lambda_star, dtype=float).ravel()
-    coeffs = build_coefficients(ax, lam, zeta0)
+    ax, lam = _solution_pair(ax_star, lambda_star)
+    coeffs = _pair_coefficients(ax, lam, zeta0)
     z0 = np.zeros(ax.size) if zeta0 is None else np.asarray(zeta0, dtype=float).ravel()
 
     ax_nrm2, lam_nrm2 = coeffs.a, -coeffs.e
@@ -299,42 +307,14 @@ def optimal_pair(ax_star, lambda_star, beta: float) -> OptimalPair:
     is itself the fixed point of the sweep at ``gamma = beta**2``, so the
     iteration started there converges immediately; equivalently ``beta`` is
     a root of the step-size quartic built from this start.
+
+    A zero ``lambda_star`` gives the one-sided start ``beta * ax_star`` and a
+    zero ``ax_star`` gives ``lambda_star / beta``: the large- and small-step
+    limits of the matched start, which approach its direction as ``beta``
+    grows or shrinks.  The solution pair is checked as ``build_coefficients``
+    checks it, except that either side may be zero.
     """
     beta = float(beta)
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise ValueError(f"beta must be positive and finite, got {beta}")
-    ax = np.asarray(ax_star, dtype=float).ravel()
-    lam = np.asarray(lambda_star, dtype=float).ravel()
-    if ax.shape != lam.shape:
-        raise ValueError(f"ax_star and lambda_star must have matching sizes, got {ax.size} and {lam.size}")
-    _require_finite("ax_star", ax)
-    _require_finite("lambda_star", lam)
-    return OptimalPair(beta=beta, zeta0=beta * ax + lam / beta, gamma=beta * beta)
-
-
-def asymptotic_pair(side: str, vector, beta: float) -> OptimalPair:
-    """Large- or small-step limit of ``optimal_pair`` recentered to stay finite.
-
-    As the step size grows the optimal start vector is dominated by its
-    primal part ``beta * ax_star``; as it shrinks, by its dual part
-    ``lambda_star / beta``.  This returns the corresponding one-sided start.
-
-    Parameters
-    ----------
-    side : str
-        "primal" scales the given vector by ``beta``; "dual" divides by it.
-    vector : array_like
-        ``ax_star`` for the primal side, ``lambda_star`` for the dual side.
-    beta : float
-        Positive root parameter; the step size is its square.
-    """
-    beta = float(beta)
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise ValueError(f"beta must be positive and finite, got {beta}")
-    v = np.asarray(vector, dtype=float).ravel()
-    _require_finite("vector", v)
-    if side == "primal":
-        return OptimalPair(beta=beta, zeta0=beta * v, gamma=beta * beta)
-    if side == "dual":
-        return OptimalPair(beta=beta, zeta0=v / beta, gamma=beta * beta)
-    raise ValueError(f"side must be 'primal' or 'dual', got {side!r}")
+    _check_beta(beta)
+    ax, lam = _solution_pair(ax_star, lambda_star)
+    return OptimalPair(beta=beta, zeta0=beta * ax + lam / beta)

@@ -379,6 +379,17 @@ def test_non_finite_step_sizes_exit_two(tmp_path, capsys):
             assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "grid"])
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_non_finite_tol_exits_two_before_writing(tmp_path, capsys, command, tol):
+    # the summary JSON would hold Infinity or NaN, which is not JSON
+    out = tmp_path / "never"
+    argv = [command, "--kind", "qp", "--tol", tol, "--out", str(out)]
+    assert run_cli(argv + (["--plan", "fixed"] if command == "run" else [])) == 2
+    assert f"tol must be finite, got {tol}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("a data export must not build a solver")
 

@@ -222,6 +222,20 @@ def test_termination_rule_validation():
     assert TerminationRule(max_iter=0).max_iter == 0
 
 
+def test_sweep_counts_share_one_check():
+    # max_iter and freeze_after refuse the same values with the same message
+    # and both take numpy integers
+    for bad in (True, np.bool_(True), -1, 2.5, "3"):
+        with pytest.raises(ValueError, match="max_iter must be a nonnegative integer"):
+            TerminationRule(max_iter=bad)
+        with pytest.raises(ValueError, match="freeze_after must be a nonnegative integer"):
+            StepSizePlan.estimated(freeze_after=bad)
+    assert StepSizePlan.estimated(freeze_after=np.int64(5)).freeze_after == 5
+    rule = TerminationRule(tol=1e-300, max_iter=np.int64(5))
+    rec = solve(small_spec(seed=8), StepSizePlan.fixed(1.0), rule=rule)
+    assert rec.iterations == 5 and [row[0] for row in rec.rows] == [1, 2, 3, 4, 5]
+
+
 def test_solve_record_contents():
     spec = small_spec(seed=6)
     rule = TerminationRule(tol=1e-8, max_iter=5000)

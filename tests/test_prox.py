@@ -596,6 +596,16 @@ _ASYMMETRIC = np.array([[1.0, 1.0], [0.0, 1.0]])
                  "delta must be positive", id="huber-delta-0"),
     pytest.param(lambda: catalog_prox("huber", dim=2, weight=-1.0),
                  "weight must be nonnegative", id="huber-weight-negative"),
+    # evaluated at v = 0, either one would make inf * 0 in the linear branch
+    pytest.param(lambda: catalog_prox("huber", dim=3, delta=np.inf),
+                 "delta must be positive and finite", id="huber-delta-inf"),
+    pytest.param(lambda: catalog_prox("huber", dim=3, weight=np.inf),
+                 "weight must be nonnegative and finite", id="huber-weight-inf"),
+    # lower <= upper holds, but no real point lies between the bounds
+    pytest.param(lambda: catalog_prox("box", dim=2, lower=np.inf, upper=np.inf),
+                 "lower bounds must be below", id="box-lower-plus-inf"),
+    pytest.param(lambda: catalog_prox("box", dim=2, lower=-np.inf, upper=[0.0, -np.inf]),
+                 "upper bounds above", id="box-upper-minus-inf"),
     pytest.param(lambda: catalog_prox("tv_quad", n=1), "need n >= 2", id="tv_quad-n-1"),
     pytest.param(lambda: catalog_prox("tv_quad", n=3, target=np.zeros(3)),
                  "target must have length 2", id="tv_quad-target-length"),

@@ -77,10 +77,11 @@ def test_sign_constraints_rejected():
         QuarticCoefficients(a=-1.0, b=0.0, d=0.0, e=-1.0)
     with pytest.raises(ValueError):
         QuarticCoefficients(a=1.0, b=0.0, d=0.0, e=1.0)
-    with pytest.raises(ValueError):
-        solve_quartic(QuarticCoefficients(a=0.0, b=0.0, d=0.0, e=-1.0))
-    with pytest.raises(ValueError):
-        solve_quartic(QuarticCoefficients(a=1.0, b=0.0, d=0.0, e=0.0))
+    # a = 0 or e = 0 leaves no positive root, so the quartic is refused when built
+    with pytest.raises(ValueError, match="coefficient a must be positive, got 0.0"):
+        QuarticCoefficients(a=0.0, b=0.0, d=0.0, e=-1.0)
+    with pytest.raises(ValueError, match="coefficient e must be negative, got 0.0"):
+        QuarticCoefficients(a=1.0, b=0.0, d=0.0, e=0.0)
     with pytest.raises(ValueError):
         QuarticCoefficients(a=np.nan, b=0.0, d=0.0, e=-1.0)
     with pytest.raises(ValueError, match="defined for alpha > 0"):

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -15,7 +16,6 @@ from admmtune import (
     SolverState,
     StepSizePlan,
     TerminationRule,
-    asymptotic_pair,
     build_coefficients,
     contradiction_demo,
     estimate_step,
@@ -85,31 +85,35 @@ def test_optimal_pair_contents_and_invariant():
     pair = optimal_pair(u, v, 2.0)
     assert pair.gamma == pytest.approx(4.0, rel=1e-14)
     assert np.allclose(pair.zeta0, 2.0 * u + v / 2.0, atol=1e-14)
-    with pytest.raises(ValueError):
-        OptimalPair(beta=2.0, zeta0=pair.zeta0, gamma=3.9)
+    # gamma is derived from beta, never stored next to it
+    assert [f.name for f in dataclasses.fields(OptimalPair)] == ["beta", "zeta0"]
+    for beta in (0.3, 2.0, 7.0):
+        assert OptimalPair(beta=beta, zeta0=pair.zeta0).gamma == beta * beta
 
 
 _ONES = np.ones(3)
+_ZEROS = np.zeros(3)
 
 
 @pytest.mark.parametrize("build, message", [
-    pytest.param(lambda: OptimalPair(beta=2.0, zeta0=_ONES, gamma=np.nan),
-                 "gamma must be positive and finite", id="nan-gamma"),
-    pytest.param(lambda: OptimalPair(beta=0.0, zeta0=_ONES, gamma=1.0),
+    pytest.param(lambda: OptimalPair(beta=1e200, zeta0=_ONES),
+                 "gamma must be positive and finite", id="pair-gamma-overflows"),
+    pytest.param(lambda: OptimalPair(beta=0.0, zeta0=_ONES),
                  "beta must be positive and finite", id="zero-beta"),
-    pytest.param(lambda: asymptotic_pair("primal", _ONES, 0.0),
+    # the one-sided starts: optimal_pair with the other side zero
+    pytest.param(lambda: optimal_pair(_ONES, _ZEROS, 0.0),
                  "beta must be positive and finite", id="asymptotic-zero-beta"),
-    pytest.param(lambda: asymptotic_pair("dual", _ONES, -1.0),
+    pytest.param(lambda: optimal_pair(_ZEROS, _ONES, -1.0),
                  "beta must be positive and finite", id="asymptotic-negative-beta"),
-    pytest.param(lambda: asymptotic_pair("primal", _ONES, np.nan),
+    pytest.param(lambda: optimal_pair(_ONES, _ZEROS, np.nan),
                  "beta must be positive and finite", id="asymptotic-nan-beta"),
     pytest.param(lambda: optimal_pair(_ONES, _ONES, 1e200),
                  "gamma must be positive and finite", id="gamma-overflows"),
     pytest.param(lambda: optimal_pair(_ONES, _ONES, 1e-200),
                  "gamma must be positive and finite", id="gamma-underflows"),
-    pytest.param(lambda: asymptotic_pair("primal", _ONES, 1e200),
+    pytest.param(lambda: optimal_pair(_ONES, _ZEROS, 1e200),
                  "gamma must be positive and finite", id="asymptotic-gamma-overflows"),
-    pytest.param(lambda: asymptotic_pair("dual", _ONES, 1e-200),
+    pytest.param(lambda: optimal_pair(_ZEROS, _ONES, 1e-200),
                  "gamma must be positive and finite", id="asymptotic-gamma-underflows"),
     pytest.param(lambda: optimal_pair(_ONES, np.ones(4), 1.0),
                  "matching sizes, got 3 and 4", id="mismatched-sizes"),
@@ -118,10 +122,10 @@ _ONES = np.ones(3)
                  "ax_star must be finite", id="infinite-ax-star"),
     pytest.param(lambda: optimal_pair([1.0, 1.0], [1.0, np.nan], 1.0),
                  "lambda_star must be finite", id="nan-lambda-star"),
-    pytest.param(lambda: asymptotic_pair("primal", [1.0, -np.inf], 1.0),
-                 "vector must be finite", id="asymptotic-infinite-vector"),
-    pytest.param(lambda: asymptotic_pair("dual", [np.nan, 1.0], 1.0),
-                 "vector must be finite", id="asymptotic-nan-vector"),
+    pytest.param(lambda: optimal_pair([1.0, -np.inf], [0.0, 0.0], 1.0),
+                 "ax_star must be finite", id="asymptotic-infinite-vector"),
+    pytest.param(lambda: optimal_pair([0.0, 0.0], [np.nan, 1.0], 1.0),
+                 "lambda_star must be finite", id="asymptotic-nan-vector"),
 ])
 def test_pairs_reject_bad_input(build, message):
     with pytest.raises(ValueError, match=message):
@@ -132,12 +136,11 @@ def test_asymptotic_pairs():
     rng = np.random.default_rng(3)
     u = rng.normal(size=7)
     v = rng.normal(size=7)
-    p = asymptotic_pair("primal", u, 10.0)
-    assert p.gamma == pytest.approx(100.0) and np.allclose(p.zeta0, 10.0 * u)
-    d = asymptotic_pair("dual", v, 0.1)
-    assert d.gamma == pytest.approx(0.01) and np.allclose(d.zeta0, v / 0.1)
-    with pytest.raises(ValueError):
-        asymptotic_pair("sideways", u, 1.0)
+    zero = np.zeros(7)
+    p = optimal_pair(u, zero, 10.0)
+    assert p.gamma == pytest.approx(100.0) and np.array_equal(p.zeta0, 10.0 * u)
+    d = optimal_pair(zero, v, 0.1)
+    assert d.gamma == pytest.approx(0.01) and np.array_equal(d.zeta0, v / 0.1)
 
 
 def test_asymptotic_start_iterations_shrink_with_scale(desk, oracle):
@@ -146,20 +149,20 @@ def test_asymptotic_start_iterations_shrink_with_scale(desk, oracle):
     rule = TerminationRule(tol=1e-6, max_iter=100_000)
     primal_iters = []
     for beta in (10.0, 100.0, 1000.0):
-        pair = asymptotic_pair("primal", o.ax, beta)
+        pair = optimal_pair(o.ax, np.zeros_like(o.lam), beta)
         rec = at.solve(inst.spec, StepSizePlan.fixed(pair.gamma), init=pair.zeta0, rule=rule)
         primal_iters.append(rec.iterations_to_tol)
     assert primal_iters[2] <= primal_iters[1] <= primal_iters[0]
     dual_iters = []
     for beta in (0.1, 0.01, 0.001):
-        pair = asymptotic_pair("dual", o.lam, beta)
+        pair = optimal_pair(np.zeros_like(o.ax), o.lam, beta)
         rec = at.solve(inst.spec, StepSizePlan.fixed(pair.gamma), init=pair.zeta0, rule=rule)
         dual_iters.append(rec.iterations_to_tol)
     assert dual_iters[2] <= dual_iters[1] <= dual_iters[0]
     # the matching fixed point is approached in direction as the scale grows
     rel = []
     for beta in (10.0, 100.0, 1000.0):
-        pair = asymptotic_pair("primal", o.ax, beta)
+        pair = optimal_pair(o.ax, np.zeros_like(o.lam), beta)
         star = np.sqrt(pair.gamma) * o.ax + o.lam / np.sqrt(pair.gamma)
         rel.append(np.linalg.norm(pair.zeta0 - star) / np.linalg.norm(pair.zeta0))
     assert rel[2] < rel[1] < rel[0]
