@@ -10,14 +10,13 @@ inner products of the optimal primal image ``A @ x_star``, the optimal
 multiplier ``lambda_star``, and ``zeta0``.  With ``a > 0`` and ``e < 0`` a
 positive real root always exists, and the optimal step size is its square.
 
-The roots are computed in closed form (Ferrari's method specialized to the
-vanishing quadratic term) with a companion-matrix fallback for the branch
-points of the radical formulas.
+From the zero start (b = d = 0) the root is ``(-e/a)**(1/4)``.  Every other
+quartic is solved through the eigenvalues of its companion matrix, polished
+by Newton steps and checked against the size of its own terms.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -172,48 +171,13 @@ def _pair_coefficients(ax, lam, zeta0):
     return QuarticCoefficients(a=a, b=b, d=d, e=e)
 
 
-def _ferrari_roots(a: float, b: float, d: float, e: float):
-    """All four roots of a*x^4 + b*x^3 + d*x + e by radicals.
-
-    Returns an empty list when the formulas hit a branch point, overflow,
-    or lose a root to cancellation (the caller falls back to a
-    companion-matrix solve).
-    """
-    try:
-        bd4ae = b * d - 4.0 * a * e
-        u1 = 0.5 * math.sqrt(27.0) * (a * d * d + b * b * e)
-        u2 = u1 + cmath.sqrt(complex(bd4ae**3 + u1 * u1))
-        if u2 == 0:
-            return []
-        cbrt = u2 ** (1.0 / 3.0)
-        u3 = (cbrt - bd4ae / cbrt) / (math.sqrt(3.0) * a)
-        b2a = b / (2.0 * a)
-        u4 = cmath.sqrt(b2a * b2a + u3)
-        if abs(u4) <= 1e-14 * (1.0 + abs(b2a)):
-            return []
-        u5 = 2.0 * b2a * b2a - u3
-        u6 = -(8.0 * b2a**3 + 8.0 * d / a) / (4.0 * u4)
-        s1 = cmath.sqrt(u5 - u6)
-        s2 = cmath.sqrt(u5 + u6)
-    except OverflowError:
-        return []
-    roots = [
-        0.5 * (-b2a - u4 - s1),
-        0.5 * (-b2a - u4 + s1),
-        0.5 * (-b2a + u4 - s2),
-        0.5 * (-b2a + u4 + s2),
-    ]
-    # the roots multiply to e/a unless cancellation has lost one of them
-    if abs(roots[0] * roots[1] * roots[2] * roots[3] - e / a) > 1e-6 * abs(e / a):
-        return []
-    return roots
-
-
 @np.errstate(over="ignore")
 def _companion_roots(a: float, b: float, d: float, e: float):
-    """Eigenvalue fallback for the rare branch-point inputs; empty when the companion matrix overflows."""
+    """All four roots of a*x^4 + b*x^3 + d*x + e as ``np.roots`` finds them; empty on overflow."""
+    companion = np.diag(np.ones(3), -1)
+    companion[0] = -np.array([b, 0.0, d, e]) / a
     try:
-        return list(np.roots([a, b, 0.0, d, e]))
+        return list(np.linalg.eigvals(companion))
     except np.linalg.LinAlgError:
         return []
 
@@ -246,6 +210,10 @@ def _polish(alpha: float, c: QuarticCoefficients) -> float:
 def solve_quartic(coefficients: QuarticCoefficients) -> float:
     """Positive real root of the step-size quartic.
 
+    With ``b = d = 0`` the root is ``(-e/a)**(1/4)``.  Otherwise each positive
+    real eigenvalue of the companion matrix is Newton-polished and kept if it
+    passes the residual check below.
+
     Parameters
     ----------
     coefficients : QuarticCoefficients
@@ -268,18 +236,14 @@ def solve_quartic(coefficients: QuarticCoefficients) -> float:
     """
     c = coefficients
     if c.b == 0.0 and c.d == 0.0:
-        # biquadratic case a*alpha**4 + e: the radical formulas divide by zero here
+        # biquadratic case a*alpha**4 + e, the zero start's closed form
         return (-c.e / c.a) ** 0.25
 
-    candidates = _positive_real(_ferrari_roots(c.a, c.b, c.d, c.e), c)
-    if not candidates:
-        candidates = _positive_real(_companion_roots(c.a, c.b, c.d, c.e), c)
+    candidates = _positive_real(_companion_roots(c.a, c.b, c.d, c.e), c)
     if not candidates:
         raise ArithmeticError(
             f"no positive real root passed validation for coefficients {c!r}"
         )
-    if len(candidates) == 1:
-        return candidates[0]
     return min(candidates, key=c.objective)
 
 
@@ -289,7 +253,7 @@ def _positive_real(roots, c: QuarticCoefficients):
     for r in roots:
         if abs(r.imag) > _REAL_TOL * (1.0 + abs(r.real)):
             continue
-        alpha = r.real
+        alpha = float(r.real)
         if alpha <= 0.0:
             continue
         alpha = _polish(alpha, c)

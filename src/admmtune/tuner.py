@@ -317,4 +317,8 @@ def optimal_pair(ax_star, lambda_star, beta: float) -> OptimalPair:
     beta = float(beta)
     _check_beta(beta)
     ax, lam = _solution_pair(ax_star, lambda_star)
-    return OptimalPair(beta=beta, zeta0=beta * ax + lam / beta)
+    with np.errstate(over="ignore"):
+        zeta0 = beta * ax + lam / beta
+    if not np.all(np.isfinite(zeta0)):
+        raise ValueError(f"beta * ax_star + lambda_star / beta overflows for beta = {beta!r}")
+    return OptimalPair(beta=beta, zeta0=zeta0)

@@ -379,8 +379,8 @@ def test_contradiction_needs_the_solution_pair_at_the_constraint_length():
 def test_closed_form_step_that_rounds_to_zero_is_rejected_by_the_plan():
     e1 = np.eye(6)[0]
     # a = 1e300, b = -1, d = 1e-300, e = -1e-300: the true root is about
-    # 1e-150, which neither the radical nor the companion route reaches; the
-    # roots they return fail the term-size check, so the solve raises
+    # 1e-150, which the companion route does not reach; the roots it
+    # returns fail the term-size check, so the solve raises
     with pytest.raises(ArithmeticError, match="no positive real root"):
         at.gamma_general(1e150 * e1, 1e-150 * e1, 1e-150 * e1)
     # a = 1e300, e = -1e-320: the zero-start root (-e/a)**0.25 underflows to 0.0

@@ -177,7 +177,7 @@ def test_roots_far_from_one_pass_validation():
     c = QuarticCoefficients(a=0.26599366596845375, b=-95.07795874141935,
                             d=33.0720416149593, e=-0.08789953846295122)
     assert solve_quartic(c) == pytest.approx(positive_real_roots(c)[-1], rel=1e-10)
-    # Ferrari's formulas lose the root ~5.7e-7 to cancellation
+    # a root ~5.7e-7 that closed-form radicals lose to cancellation
     c = QuarticCoefficients(a=0.007498315065860046, b=-5572.346662636607,
                             d=8647.316038442246, e=-0.004902964699748021)
     assert solve_quartic(c) == pytest.approx(5.669926573693578e-07, rel=1e-8, abs=0.0)

@@ -132,6 +132,16 @@ def test_pairs_reject_bad_input(build, message):
         build()
 
 
+def test_optimal_pair_refuses_an_overflowing_start_without_a_warning():
+    # beta and the pair are each admissible; their product overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"beta \* ax_star \+ lambda_star / beta overflows"):
+            optimal_pair([1e300], [1.0], 1e10)
+        with pytest.raises(ValueError, match=r"beta \* ax_star \+ lambda_star / beta overflows"):
+            optimal_pair([1.0], [1e300], 1e-10)
+
+
 def test_asymptotic_pairs():
     rng = np.random.default_rng(3)
     u = rng.normal(size=7)
@@ -340,8 +350,7 @@ def test_estimate_step_squares_integer_iterates_in_floating_point():
 
 
 def test_overflowing_quartic_raises_arithmetic_error():
-    # a = 1e-300 and b*d = -1e300: the radical formulas and the companion
-    # matrix both overflow
+    # a = 1e-300 and b*d = -1e300: the companion matrix overflows
     with pytest.raises(ArithmeticError, match="no positive real root"):
         gamma_general([1e-150], [1e150], [1e150])
 
@@ -446,4 +455,5 @@ def test_contradiction_report_takes_gamma_general_root(vectors):
         return
     report = contradiction_demo(ax, lam, zeta0)
     assert report.gamma_star == want
-    assert report.gamma_star == report.alpha_star ** 2
+    # the library squares as alpha * alpha, which can differ from alpha ** 2 by an ulp
+    assert report.gamma_star == report.alpha_star * report.alpha_star
