@@ -24,10 +24,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import svd
 
 from . import tuner as _tuner
-from .prox import _check_full_rank
 from .quartic import _require_finite
 
 __all__ = [
@@ -73,16 +71,14 @@ class ProblemSpec:
     p : int or None
         Constraint dimension; required only when none of A, B, c is given.
         The variable dimensions ``n`` and ``m`` are the column counts of A
-        and B, or ``p`` where the map is None.
-    rank_check : bool
-        When True (default), dense A and B are required to have full column
-        rank (smallest/largest singular value ratio above 1e-10).  Builders
-        whose f keeps the x step single-valued anyway, or whose x step
-        checks the rank itself, may disable it.
+        and B, or ``p`` where the map is None.  Their rank is not checked:
+        whether a step is single-valued depends on f and g, so the proximal
+        maps check it where it matters (``x = A^+ w`` refuses an A without
+        full column rank, a shifted solve a shift that is not positive
+        definite).
     """
 
-    def __init__(self, prox_f, prox_g, objective=None, A=None, B=None, c=None,
-                 p=None, rank_check=True):
+    def __init__(self, prox_f, prox_g, objective=None, A=None, B=None, c=None, p=None):
         self.prox_f = prox_f
         self.prox_g = prox_g
         self.objective = objective
@@ -116,12 +112,6 @@ class ProblemSpec:
         for name, M in (("A", self.A), ("B", self.B), ("c", self.c)):
             if M is not None:
                 _require_finite(name, M)
-        if rank_check:
-            for name, M in (("A", self.A), ("B", self.B)):
-                if M is None:
-                    continue
-                _check_full_rank(svd(M, compute_uv=False), M.shape[1],
-                                 f"constraint matrix {name} does not have full column rank")
 
 
 @dataclass

@@ -155,7 +155,7 @@ def _z_step(handle):
 
 def _pinv_step(A):
     """``prox_f`` for f = 0 and a full-column-rank ``A``: ``x = A^+ w`` at every g."""
-    # one thin SVD checks the rank and forms A^+, so the spec skips its rank check
+    # one thin SVD checks the rank and forms A^+
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     _check_full_rank(s, A.shape[1], "constraint matrix A does not have full column rank")
     A_pinv = Vt.T @ ((1.0 / s)[:, None] * U.T)
@@ -260,7 +260,7 @@ def _spec_lad(dims, data, params):
         return float(np.abs(z).sum())
 
     return ProblemSpec(_pinv_step(A), _z_step(catalog_prox("l1", dim=b.size)), objective,
-                       A=A, c=b, rank_check=False)
+                       A=A, c=b)
 
 
 def _draw_huber(rng, dims, params):
@@ -285,7 +285,7 @@ def _spec_huber(dims, data, params):
         return float(np.where(a <= 1.0, 0.5 * z * z, a - 0.5).sum())
 
     return ProblemSpec(_pinv_step(A), _z_step(catalog_prox("huber", dim=b.size)), objective,
-                       A=A, c=b, rank_check=False)
+                       A=A, c=b)
 
 
 def _draw_bp(rng, dims, params):
@@ -433,7 +433,7 @@ def _spec_tv(dims, data, params):
     # F is (n-1) x n and can never have full column rank; the quadratic
     # data fit keeps the x step single-valued regardless
     return ProblemSpec(prox_f, _z_step(catalog_prox("l1", dim=n - 1, weight=alpha)), objective,
-                       A=F, c=np.zeros(n - 1), rank_check=False)
+                       A=F, c=np.zeros(n - 1))
 
 
 def _polish_tv(data, params, z):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quartic
-from .quartic import _finite_coefficient, _pair_coefficients, _solution_pair, build_coefficients
+from .quartic import _pair_coefficients, _solution_pair, build_coefficients
 
 __all__ = [
     "FIXED",
@@ -261,9 +261,10 @@ def estimate_step(state, plan: StepSizePlan) -> float:
 
     Raises
     ------
-    ValueError
+    OverflowError
         If ``||A x||^2`` or ``||lam||^2`` is not finite (an overflowing or
-        non-finite iterate).
+        non-finite iterate).  It is an ArithmeticError, so the command line
+        reports it as a numerical failure.
     ArithmeticError
         If the estimate is not in (0, inf): the ratio of the two squared
         norms underflows or overflows, and ``solve`` could not rescale by it.
@@ -283,13 +284,14 @@ def estimate_step(state, plan: StepSizePlan) -> float:
     if not (type(lam) is np.ndarray and lam.ndim == 1 and lam.dtype is _FLOAT):
         lam = np.asarray(lam, dtype=float).ravel()
     # the quartic's b = d = 0 case: a = ||A x||^2 and e = -||lam||^2 are its
-    # whole input, checked as build_coefficients checks them; np.vdot raises
-    # no floating-point flag, so an overflow needs no error context
+    # whole input, named as build_coefficients names them; an iterate that
+    # overflows them is a numerical failure of the run, not a bad argument.
+    # np.vdot raises no floating-point flag, so it needs no error context
     ax2 = float(np.vdot(ax, ax))
     lam2 = float(np.vdot(lam, lam))
     if not (math.isfinite(ax2) and math.isfinite(lam2)):
-        _finite_coefficient("a", ax2)
-        _finite_coefficient("e", -lam2)
+        name, value = ("a", ax2) if not math.isfinite(ax2) else ("e", -lam2)
+        raise OverflowError(f"coefficient {name} must be finite, got {value!r}")
     if math.sqrt(ax2) < _DEGENERATE_NORM or math.sqrt(lam2) < _DEGENERATE_NORM:
         return current
     # the biquadratic root (-e/a)**(1/4), with the bits solve_quartic returns

@@ -234,6 +234,20 @@ def test_numerical_failures_exit_four(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.rglob("*.csv"))
 
 
+@pytest.mark.parametrize("kind, coefficient", [
+    ("lp", "e must be finite, got -inf"),
+    ("qp", "e must be finite, got -inf"),
+    ("tv", "a must be finite, got inf"),
+])
+def test_overflowing_estimate_exits_four(tmp_path, capsys, kind, coefficient):
+    # from gamma0 = 1e300 the estimator's squared norms of the iterates overflow:
+    # a numerical failure of the run, not a usage error
+    argv = ["run", "--kind", kind, "--plan", "estimated:1e300", "--out", str(tmp_path)]
+    assert run_cli(argv) == 4
+    assert capsys.readouterr().err.splitlines() == [f"admmtune: coefficient {coefficient}"]
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_numerical_failure_exits_four_without_a_traceback(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))

@@ -71,17 +71,6 @@ def test_spec_holds_read_only_copies_of_its_maps():
     assert not small_spec().c.flags.writeable
 
 
-def test_rank_check_toggle():
-    deficient = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
-    with pytest.raises(ValueError):
-        ProblemSpec(prox_f=None, prox_g=None, A=deficient, c=np.zeros(3))
-    spec = ProblemSpec(prox_f=None, prox_g=None, A=deficient, c=np.zeros(3), rank_check=False)
-    assert spec.n == 2
-    wide = np.ones((1, 3))
-    with pytest.raises(ValueError):
-        ProblemSpec(prox_f=None, prox_g=None, A=wide, c=np.zeros(1))
-
-
 def test_sweep_matches_reference_recursion():
     # drive the reference stepper and an inline textbook recursion side by side
     spec = small_spec(seed=3)

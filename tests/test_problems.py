@@ -494,20 +494,13 @@ def test_paper_profile_dimensions_differ():
     assert PROFILES["lasso"]["paper"]["n"] > PROFILES["lasso"]["desk"]["n"]
 
 
-def test_lad_and_huber_rank_check_rides_on_the_pseudoinverse_svd(monkeypatch):
-    calls = []
-    real = at.engine.svd
-
-    def counting(M, **kwargs):
-        calls.append(M.shape)
-        return real(M, **kwargs)
-
-    monkeypatch.setattr(at.engine, "svd", counting)
-    for kind in ("lad", "huber"):
-        generate(kind, profile="desk", seed=ACCEPT_SEEDS[kind])
-    assert calls == []
-    with pytest.raises(ValueError, match="full column rank"):
-        at.problems._pinv_step(np.ones((4, 2)))
+def test_lad_and_huber_rank_check_rides_on_the_pseudoinverse_svd():
+    # the spec checks no rank: the SVD that forms x = A^+ w refuses an A
+    # without full column rank when either kind builds its spec
+    data = {"A": np.ones((4, 2)), "b": np.zeros(4)}
+    for build in (at.problems._spec_lad, at.problems._spec_huber):
+        with pytest.raises(ValueError, match="full column rank"):
+            build({"m": 4, "n": 2}, data, {})
 
 
 def test_acceptance_seeds_cover_all_kinds():

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import admmtune.engine as engine_mod
 import admmtune.prox as prox_mod
 from admmtune import (
     CLASSICAL,
@@ -524,10 +523,8 @@ def _wide_systems(draw):
     return A, a, b, r, d
 
 
-@settings(max_examples=200, deadline=None)
-@given(_wide_systems())
-def test_wide_gram_solver_residual_and_image(system):
-    A, a, b, r, d = system
+def _check_wide_solve(A, a, b, r, d):
+    """The residual of x and the image t of one wide Gram solve are within rounding."""
     solve, ud = prox_mod._wide_gram_solver(A, d)
     x, t = solve(a, b, r)
     norm_a = np.linalg.norm(A, 2)
@@ -540,23 +537,73 @@ def test_wide_gram_solver_residual_and_image(system):
     # rounding scale of x = (r - b W^T t) / a, which cancels when a is small;
     # below the smallest normal float rounding errors are absolute
     x_err = 1e-12 * (norm(r) + b * norm_a * norm(t)) / a + np.finfo(float).tiny
-    resid = (a * np.eye(A.shape[1]) + b * A.T @ A) @ x - r
+    # matrix-free, so that a wide A needs no n x n matrix
+    resid = a * x + b * (A.T @ (A @ x)) - r
     assert norm(resid) <= (a + b * norm_a**2) * x_err
     # A x = U t with U orthogonal, so the data residual keeps its norm
     gap = abs(norm(t - ud) - norm(A @ x - d))
     assert gap <= 1e-12 * (norm(t) + norm(d)) + norm_a * x_err
 
 
-def test_wide_gram_solver_rejects_non_positive_definite_shifts():
-    rng = np.random.default_rng(14)
-    A = rng.normal(size=(3, 7))
-    solve, _ = prox_mod._wide_gram_solver(A, np.zeros(3))
+def _check_wide_refusals(A):
+    """A shift that is not positive definite raises; a positive definite one solves."""
+    solve, _ = prox_mod._wide_gram_solver(A, np.zeros(A.shape[0]))
     s = np.linalg.eigvalsh(A @ A.T)
-    r = np.ones(7)
+    r = np.ones(A.shape[1])
     solve(1.0, 2.0, r)
     for a, b in ((0.0, 1.0), (-1.0, 1.0), (1.0, -1.0 / s[0]), (1.0, -2.0 / s[-1])):
         with pytest.raises(ValueError):
             solve(a, b, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide_systems())
+def test_wide_gram_solver_residual_and_image(system):
+    _check_wide_solve(*system)
+
+
+def test_wide_gram_solver_rejects_non_positive_definite_shifts():
+    rng = np.random.default_rng(14)
+    _check_wide_refusals(rng.normal(size=(3, 7)))
+
+
+# 5 rows of 512 KiB take three blocks of at most 1 MiB; a 3 x 262144 W has
+# rows of 2 MiB, one to a block
+@pytest.mark.parametrize("m, n", [(5, 65536), (3, 262144)])
+def test_wide_gram_solver_in_row_blocks(m, n):
+    row_bytes = 8 * n
+    assert m * row_bytes > prox_mod._BLOCK_BYTES and m > max(1, prox_mod._BLOCK_BYTES // row_bytes)
+    rng = np.random.default_rng(m)
+    A = rng.normal(size=(m, n))
+    for a, b in ((1e-3, 1e3), (1.0, 1.0), (1e3, 1e-3)):
+        _check_wide_solve(A, a, b, rng.normal(size=n), rng.normal(size=m))
+    _check_wide_refusals(A)
+
+
+def test_wide_gram_solver_within_one_block_keeps_the_whole_matrix_bits():
+    # the desk lasso's shape: a 150 x 500 W is one block, whose solve is the
+    # two whole-matrix products t = W r / (a + b s) and x = (r - b W^T t) / a
+    rng = np.random.default_rng(4)
+    A = rng.normal(size=(150, 500))
+    s, U = np.linalg.eigh(A @ A.T)
+    W = U.T @ A
+    solve, _ = prox_mod._wide_gram_solver(A, np.zeros(150))
+    for a, b in ((0.3, 1.0), (1.0, 7.0)):
+        r = rng.normal(size=500)
+        t = W.dot(r) / (a + b * s)
+        x, got_t = solve(a, b, r)
+        assert np.array_equal(got_t, t)
+        assert np.array_equal(x, (r - b * W.T.dot(t)) / a)
+
+
+def test_wide_gram_solver_without_rows_scales_by_a():
+    solve, ud = prox_mod._wide_gram_solver(np.zeros((0, 4)), np.zeros(0))
+    r = np.array([1.0, -2.0, 0.5, 3.0])
+    x, t = solve(2.0, 3.0, r)
+    assert np.array_equal(x, r / 2.0)
+    assert t.shape == (0,) and ud.shape == (0,)
+    with pytest.raises(ValueError):
+        solve(0.0, 1.0, r)
 
 
 def test_handle_validates_inputs():
@@ -684,7 +731,7 @@ def test_builds_reject_non_finite_data(monkeypatch, entry, field, bad):
     data = _finite_build_data(entry)
     _build(entry, data)
     # an SVD of a matrix holding inf can run for minutes, so none may start
-    for module, name in ((prox_mod, "svd"), (prox_mod, "eigh"), (engine_mod, "svd"),
+    for module, name in ((prox_mod, "svd"), (prox_mod, "eigh"),
                          (np.linalg, "svd"), (np.linalg, "eigh")):
         monkeypatch.setattr(module, name, _refuse)
     data[field] = data[field].copy()

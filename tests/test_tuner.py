@@ -314,11 +314,11 @@ def test_estimate_step_overflowing_iterates_raise():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         big = SolverState(ax=np.full(4, 1e200), lam=np.ones(4), gamma=1.0, k=2)
-        with pytest.raises(ValueError, match="coefficient a must be finite, got inf"):
+        with pytest.raises(OverflowError, match="coefficient a must be finite, got inf"):
             estimate_step(big, plan)
         # e = -||lam||^2 overflows to its own value, -inf
         big = SolverState(ax=np.ones(4), lam=np.full(4, 1e200), gamma=1.0, k=2)
-        with pytest.raises(ValueError, match="coefficient e must be finite, got -inf"):
+        with pytest.raises(OverflowError, match="coefficient e must be finite, got -inf"):
             estimate_step(big, plan)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
